@@ -31,10 +31,11 @@ import numpy as np
 
 from ..errors import CostModelError
 from .cell import CellKind
+from ._shared import problem_static, read_only
 from .netlist import Netlist
 from .solution import Placement
 
-__all__ = ["TimingModel", "TimingResult", "TimingAnalyzer", "TimingState"]
+__all__ = ["TimingModel", "TimingResult", "TimingGraph", "TimingAnalyzer", "TimingState"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,50 +74,52 @@ class TimingResult:
         return len(self.critical_path)
 
 
-class TimingAnalyzer:
-    """Exact static timing analysis for a fixed netlist.
+class TimingGraph:
+    """Placement-independent STA structure of one netlist.
 
-    The netlist connectivity never changes during placement, so the
-    topological order, endpoint set and fan-in structure are computed once at
-    construction; only the geometric wire delays depend on the placement.
+    Fan-in tuples, the topological level schedule with its flat edge
+    arrays, the scalar propagation schedule and the endpoint CSR depend on
+    the connectivity alone.  They are built once per netlist per process
+    (:meth:`TimingGraph.of`) and shared read-only by every
+    :class:`TimingAnalyzer` of that netlist; nothing here references the
+    netlist itself, so the shared graph never keeps its netlist alive.
     """
 
-    def __init__(self, netlist: Netlist, model: TimingModel | None = None) -> None:
-        self._netlist = netlist
-        self._model = model or TimingModel()
-        self._build_static_structure()
+    @classmethod
+    def of(cls, netlist: Netlist) -> "TimingGraph":
+        """The shared graph of ``netlist``, built on first use.
 
-    def _build_static_structure(self) -> None:
-        netlist = self._netlist
+        A netlist with a combinational cycle raises
+        :class:`~repro.errors.CostModelError` on every call: a failed build
+        is never cached.
+        """
+        return problem_static(netlist, "timing", lambda: cls(netlist))
+
+    def __init__(self, netlist: Netlist) -> None:
         n = netlist.num_cells
+        self.num_cells = n
         kinds = [cell.kind for cell in netlist.cells]
-        self._is_start = np.array([k.is_timing_start for k in kinds], dtype=bool)
-        self._is_end = np.array([k.is_timing_end for k in kinds], dtype=bool)
-        self._is_pi = np.array([k is CellKind.PRIMARY_INPUT for k in kinds], dtype=bool)
-        self._is_seq = np.array([k is CellKind.SEQUENTIAL for k in kinds], dtype=bool)
+        self.is_start = read_only(np.array([k.is_timing_start for k in kinds], dtype=bool))
+        self.is_end = read_only(np.array([k.is_timing_end for k in kinds], dtype=bool))
+        self.is_seq = read_only(np.array([k is CellKind.SEQUENTIAL for k in kinds], dtype=bool))
 
         # Propagating fan-in: for every cell, the drivers whose arrival feeds
         # its own arrival.  Sequential cells do not propagate their fan-in
         # (paths end at their D input); their own arrival is just clk-to-Q.
-        fanin: List[Tuple[int, ...]] = []
-        for c in range(n):
-            if self._is_start[c]:
-                fanin.append(())
-            else:
-                fanin.append(netlist.fanin(c))
-        self._prop_fanin = tuple(fanin)
-
+        self.prop_fanin = tuple(
+            () if self.is_start[c] else netlist.fanin(c) for c in range(n)
+        )
         # Endpoint fan-in: data inputs of sequential cells and primary outputs.
         # (For primary outputs this is the same as the propagating fan-in.)
-        self._end_fanin = tuple(
-            netlist.fanin(c) if self._is_end[c] else () for c in range(n)
+        end_fanin = tuple(
+            netlist.fanin(c) if self.is_end[c] else () for c in range(n)
         )
 
         # Kahn topological sort over propagating edges.
-        indegree = np.array([len(f) for f in self._prop_fanin], dtype=np.int64)
+        indegree = np.array([len(f) for f in self.prop_fanin], dtype=np.int64)
         consumers: List[List[int]] = [[] for _ in range(n)]
         for c in range(n):
-            for d in self._prop_fanin[c]:
+            for d in self.prop_fanin[c]:
                 consumers[d].append(c)
         queue = deque(int(c) for c in np.flatnonzero(indegree == 0))
         order: List[int] = []
@@ -133,22 +136,21 @@ class TimingAnalyzer:
                 f"netlist {netlist.name!r}: combinational cycle detected; "
                 "static timing analysis requires an acyclic combinational graph"
             )
-        self._topo_order = tuple(order)
-        self._delays = netlist.cell_delays
-        self._build_level_schedule()
+        self.delays = read_only(np.array(netlist.cell_delays))
+        self._build_level_schedule(order, end_fanin)
 
-    def _build_level_schedule(self) -> None:
+    def _build_level_schedule(self, order: List[int], end_fanin: tuple) -> None:
         """Group cells into topological *levels* for the vectorised STA.
 
         All cells of one level depend only on strictly earlier levels, so a
         whole level's arrival times can be computed with one segmented
-        gather/reduce instead of a Python loop over cells.  The schedule is
-        placement-independent and built once.
+        gather/reduce instead of a Python loop over cells.
         """
-        n = self._netlist.num_cells
+        n = self.num_cells
+        prop_fanin = self.prop_fanin
         level = np.zeros(n, dtype=np.int64)
-        for c in self._topo_order:
-            fanin = self._prop_fanin[c]
+        for c in order:
+            fanin = prop_fanin[c]
             if fanin:
                 level[c] = 1 + max(int(level[d]) for d in fanin)
         # One flat edge list over all levels: the geometric edge delays are
@@ -162,9 +164,9 @@ class TimingAnalyzer:
         all_rep: List[np.ndarray] = []
         for lvl in range(1, max_level + 1):
             cells = np.flatnonzero(level == lvl)
-            counts = np.array([len(self._prop_fanin[c]) for c in cells], dtype=np.int64)
+            counts = np.array([len(prop_fanin[c]) for c in cells], dtype=np.int64)
             flat = np.concatenate(
-                [np.asarray(self._prop_fanin[c], dtype=np.int64) for c in cells]
+                [np.asarray(prop_fanin[c], dtype=np.int64) for c in cells]
             ) if cells.size else np.zeros(0, dtype=np.int64)
             starts = np.zeros(cells.size, dtype=np.int64)
             if cells.size:
@@ -173,53 +175,75 @@ class TimingAnalyzer:
             edge_cursor += flat.size
             all_flat.append(flat)
             all_rep.append(np.repeat(cells, counts))
-            schedule.append((cells, flat, starts, self._delays[cells], edge_slice))
-        self._level_schedule = tuple(schedule)
-        self._edge_src = (
+            schedule.append((
+                read_only(cells), read_only(flat), read_only(starts),
+                read_only(self.delays[cells]), edge_slice,
+            ))
+        self.level_schedule = tuple(schedule)
+        self.edge_src = read_only(
             np.concatenate(all_flat) if all_flat else np.zeros(0, dtype=np.int64)
         )
-        self._edge_dst = (
+        self.edge_dst = read_only(
             np.concatenate(all_rep) if all_rep else np.zeros(0, dtype=np.int64)
         )
         # Scalar propagation schedule, aligned with the flat edge order: for
         # the paper-sized circuits a tight Python loop over *pre-vectorised*
         # edge delays beats per-level NumPy dispatch (tens of levels with a
         # handful of cells each); big flat circuits flip the other way.
-        self._scalar_schedule = tuple(
-            (int(c), self._prop_fanin[c])
+        self.scalar_schedule = tuple(
+            (int(c), prop_fanin[c])
             for cells, _flat, _starts, _delays, _sl in schedule
             for c in cells
         )
-        self._delays_list = [float(d) for d in self._delays]
+        self.delays_list = tuple(float(d) for d in self.delays)
         # crossover measured on the paper circuits: ~2k edges
-        self._use_scalar_propagation = self._edge_src.size < 2048
+        self.use_scalar_propagation = self.edge_src.size < 2048
         # Endpoint CSR: data arrivals at POs / flip-flop D inputs.  Endpoints
         # are visited in index order and their fan-in in netlist order —
         # matching the reference loop so that first-maximum tie-breaking is
         # identical.
-        end_cells = [c for c in np.flatnonzero(self._is_end) if self._end_fanin[c]]
-        self._end_cells = np.asarray(end_cells, dtype=np.int64)
+        end_cells = [c for c in np.flatnonzero(self.is_end) if end_fanin[c]]
         if end_cells:
-            self._end_counts = np.array(
-                [len(self._end_fanin[c]) for c in end_cells], dtype=np.int64
+            end_counts = np.array(
+                [len(end_fanin[c]) for c in end_cells], dtype=np.int64
             )
-            self._end_flat = np.concatenate(
-                [np.asarray(self._end_fanin[c], dtype=np.int64) for c in end_cells]
+            end_flat = np.concatenate(
+                [np.asarray(end_fanin[c], dtype=np.int64) for c in end_cells]
             )
         else:
-            self._end_counts = np.zeros(0, dtype=np.int64)
-            self._end_flat = np.zeros(0, dtype=np.int64)
-        # Static endpoint replication (used to be rebuilt on every analyze).
-        self._ends_rep = np.repeat(self._end_cells, self._end_counts)
+            end_counts = np.zeros(0, dtype=np.int64)
+            end_flat = np.zeros(0, dtype=np.int64)
+        self.end_flat = read_only(end_flat)
+        self.ends_rep = read_only(
+            np.repeat(np.asarray(end_cells, dtype=np.int64), end_counts)
+        )
+
+
+class TimingAnalyzer:
+    """Exact static timing analysis for a fixed netlist.
+
+    The netlist connectivity never changes during placement, so the
+    topological order, endpoint set and fan-in structure live in the
+    netlist's shared :class:`TimingGraph`; an analyzer adds only the delay
+    model and private scratch buffers, so concurrent analyzers of one
+    netlist never write to shared memory.
+    """
+
+    def __init__(self, netlist: Netlist, model: TimingModel | None = None) -> None:
+        self._netlist = netlist
+        self._model = model or TimingModel()
+        self._graph = TimingGraph.of(netlist)
+        self._use_scalar_propagation = self._graph.use_scalar_propagation
         # Reusable scratch buffers for analyze(): allocated once on first
         # use, so a steady-state STA allocates O(1) fresh memory per call
         # (only the returned arrival copy) instead of O(cells + edges).
         self._scratch: dict | None = None
 
     def _make_scratch(self) -> dict:
-        num_cells = self._netlist.num_cells
-        num_edges = self._edge_src.size
-        num_ends = self._end_flat.size
+        graph = self._graph
+        num_cells = graph.num_cells
+        num_edges = graph.edge_src.size
+        num_ends = graph.end_flat.size
         return {
             "x": np.empty(num_cells, dtype=np.float64),
             "y": np.empty(num_cells, dtype=np.float64),
@@ -232,7 +256,7 @@ class TimingAnalyzer:
                     np.empty(flat.size, dtype=np.float64),
                     np.empty(cells.size, dtype=np.float64),
                 )
-                for cells, flat, _starts, _delays, _sl in self._level_schedule
+                for cells, flat, _starts, _delays, _sl in graph.level_schedule
             ),
             "end_a": np.empty(num_ends, dtype=np.float64),
             "end_b": np.empty(num_ends, dtype=np.float64),
@@ -249,18 +273,13 @@ class TimingAnalyzer:
         """Interconnect delay model."""
         return self._model
 
-    def wire_delay(self, x: np.ndarray, y: np.ndarray, driver: int, sink: int) -> float:
-        """Interconnect delay between two cells given coordinate arrays."""
-        dist = abs(float(x[driver] - x[sink])) + abs(float(y[driver] - y[sink]))
-        return self._model.wire_delay_per_unit * dist
-
     # ------------------------------------------------------------------ #
     def analyze(self, placement: Placement) -> TimingResult:
         """Run an exact STA under ``placement`` and extract the critical path.
 
         Arrival times are propagated one topological *level* at a time with
-        segmented NumPy reductions (see :meth:`_build_level_schedule`) —
-        numerically identical to :meth:`analyze_reference` including
+        segmented NumPy reductions (see :class:`TimingGraph`) — numerically
+        identical to a scalar reference STA (the tests' oracle) including
         first-maximum tie-breaking, but an order of magnitude faster on the
         paper circuits.  This is the cost that dominates installing a received
         solution, so the parallel protocol's per-hop overhead rides on it.
@@ -268,6 +287,7 @@ class TimingAnalyzer:
         steady-state call allocates only the returned arrival copy — at 10k
         cells that is ~80 KB instead of several MB per STA.
         """
+        graph = self._graph
         scratch = self._scratch
         if scratch is None:
             scratch = self._scratch = self._make_scratch()
@@ -280,15 +300,15 @@ class TimingAnalyzer:
         wpu = self._model.wire_delay_per_unit
         # all propagating edge delays in one vectorised pass
         edge_delay = scratch["edge_delay"]
-        if self._edge_src.size:
+        if graph.edge_src.size:
             tmp = scratch["edge_tmp"]
             tmp2 = scratch["edge_tmp2"]
-            np.take(x, self._edge_src, out=edge_delay)
-            np.take(x, self._edge_dst, out=tmp)
+            np.take(x, graph.edge_src, out=edge_delay)
+            np.take(x, graph.edge_dst, out=tmp)
             np.subtract(edge_delay, tmp, out=edge_delay)
             np.abs(edge_delay, out=edge_delay)
-            np.take(y, self._edge_src, out=tmp)
-            np.take(y, self._edge_dst, out=tmp2)
+            np.take(y, graph.edge_src, out=tmp)
+            np.take(y, graph.edge_dst, out=tmp2)
             np.subtract(tmp, tmp2, out=tmp)
             np.abs(tmp, out=tmp)
             np.add(edge_delay, tmp, out=edge_delay)
@@ -296,11 +316,11 @@ class TimingAnalyzer:
         # Cells without propagating fan-in arrive at their intrinsic delay;
         # every later level overwrites its own cells.
         if self._use_scalar_propagation:
-            delays_list = self._delays_list
-            arr = delays_list.copy()
+            delays_list = graph.delays_list
+            arr = list(delays_list)
             ed = edge_delay.tolist()
             index = 0
-            for c, fanin in self._scalar_schedule:
+            for c, fanin in graph.scalar_schedule:
                 best = -np.inf
                 for d in fanin:
                     t = arr[d] + ed[index]
@@ -311,9 +331,9 @@ class TimingAnalyzer:
             arrival = np.asarray(arr, dtype=np.float64)
         else:
             arrival = scratch["arrival"]
-            arrival[:] = self._delays
+            arrival[:] = graph.delays
             for (cells, flat, starts, cell_delays, edge_slice), (t_buf, red_buf) in zip(
-                self._level_schedule, scratch["levels"]
+                graph.level_schedule, scratch["levels"]
             ):
                 np.take(arrival, flat, out=t_buf)
                 np.add(t_buf, edge_delay[edge_slice], out=t_buf)
@@ -327,28 +347,28 @@ class TimingAnalyzer:
         critical_delay = 0.0
         critical_end = -1
         critical_end_pred = -1
-        if self._end_flat.size:
-            ends_rep = self._ends_rep
+        if graph.end_flat.size:
+            ends_rep = graph.ends_rep
             end_t = scratch["end_a"]
             end_tmp = scratch["end_b"]
             end_tmp2 = scratch["end_c"]
-            np.take(x, self._end_flat, out=end_t)
+            np.take(x, graph.end_flat, out=end_t)
             np.take(x, ends_rep, out=end_tmp)
             np.subtract(end_t, end_tmp, out=end_t)
             np.abs(end_t, out=end_t)
-            np.take(y, self._end_flat, out=end_tmp)
+            np.take(y, graph.end_flat, out=end_tmp)
             np.take(y, ends_rep, out=end_tmp2)
             np.subtract(end_tmp, end_tmp2, out=end_tmp)
             np.abs(end_tmp, out=end_tmp)
             np.add(end_t, end_tmp, out=end_t)
             np.multiply(end_t, wpu, out=end_t)
-            np.take(arrival, self._end_flat, out=end_tmp)
+            np.take(arrival, graph.end_flat, out=end_tmp)
             np.add(end_t, end_tmp, out=end_t)
             imax = int(np.argmax(end_t))
             if float(end_t[imax]) > 0.0:
                 critical_delay = float(end_t[imax])
                 critical_end = int(ends_rep[imax])
-                critical_end_pred = int(self._end_flat[imax])
+                critical_end_pred = int(graph.end_flat[imax])
 
         # Backtrack the critical path: the predecessor of a path cell is its
         # first fan-in attaining the arrival maximum, exactly the reference
@@ -362,7 +382,7 @@ class TimingAnalyzer:
             cursor = critical_end_pred
             while cursor >= 0:
                 path.append(cursor)
-                fanin = self._prop_fanin[cursor]
+                fanin = graph.prop_fanin[cursor]
                 if not fanin:
                     break
                 xc = float(x[cursor])
@@ -386,7 +406,7 @@ class TimingAnalyzer:
             cursor = critical_end_pred
             while cursor >= 0:
                 path.append(cursor)
-                fanin = self._prop_fanin[cursor]
+                fanin = graph.prop_fanin[cursor]
                 if not fanin:
                     break
                 xc = x_list[cursor]
@@ -401,69 +421,6 @@ class TimingAnalyzer:
                         best = t_d
                         pred = d
                 cursor = pred
-            path.reverse()
-        return TimingResult(
-            critical_delay=float(critical_delay),
-            arrival=arrival,
-            critical_path=tuple(path),
-        )
-
-    def analyze_reference(self, placement: Placement) -> TimingResult:
-        """Reference scalar STA (the pre-vectorisation implementation).
-
-        Kept as the correctness oracle for :meth:`analyze`: the equivalence
-        test drives both over random placements and asserts identical arrival
-        times, critical delay and critical path.
-        """
-        x = placement.cell_x()
-        y = placement.cell_y()
-        n = self._netlist.num_cells
-        arrival = np.zeros(n, dtype=np.float64)
-        best_pred = np.full(n, -1, dtype=np.int64)
-        wpu = self._model.wire_delay_per_unit
-        delays = self._delays
-        for c in self._topo_order:
-            fanin = self._prop_fanin[c]
-            if fanin:
-                best = -np.inf
-                pred = -1
-                xc = x[c]
-                yc = y[c]
-                for d in fanin:
-                    t = arrival[d] + wpu * (abs(x[d] - xc) + abs(y[d] - yc))
-                    if t > best:
-                        best = t
-                        pred = d
-                arrival[c] = best + delays[c]
-                best_pred[c] = pred
-            else:
-                arrival[c] = delays[c]
-
-        # Data arrival at endpoints: max over endpoint fan-in of
-        # arrival(driver) + wire(driver, endpoint).
-        critical_delay = 0.0
-        critical_end = -1
-        critical_end_pred = -1
-        for c in np.flatnonzero(self._is_end):
-            fanin = self._end_fanin[c]
-            if not fanin:
-                continue
-            xc = x[c]
-            yc = y[c]
-            for d in fanin:
-                t = arrival[d] + wpu * (abs(x[d] - xc) + abs(y[d] - yc))
-                if t > critical_delay:
-                    critical_delay = float(t)
-                    critical_end = int(c)
-                    critical_end_pred = int(d)
-
-        path: List[int] = []
-        if critical_end >= 0:
-            path.append(critical_end)
-            cursor = critical_end_pred
-            while cursor >= 0:
-                path.append(cursor)
-                cursor = int(best_pred[cursor])
             path.reverse()
         return TimingResult(
             critical_delay=float(critical_delay),
@@ -507,13 +464,14 @@ class TimingAnalyzer:
         """
         if len(path) < 2:
             return 0.0
-        delays = self._delays_list
+        graph = self._graph
+        delays = graph.delays_list
         total = 0.0
         for idx, cell in enumerate(path):
             is_last = idx == len(path) - 1
-            if is_last and self._is_end[cell] and not self._is_start[cell]:
+            if is_last and graph.is_end[cell] and not graph.is_start[cell]:
                 continue  # PO endpoint: no intrinsic delay after arrival
-            if is_last and self._is_seq[cell]:
+            if is_last and graph.is_seq[cell]:
                 continue  # flip-flop D input endpoint
             total += delays[cell]
         return total

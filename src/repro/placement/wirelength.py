@@ -34,6 +34,7 @@ import numpy as np
 from .. import accel
 from ..metrics.trace import TransferStats
 from . import _kernels
+from ._shared import problem_static, read_only
 from .solution import Placement
 
 __all__ = [
@@ -148,6 +149,61 @@ def _shrink_max(cur: np.ndarray, support: np.ndarray, frm: np.ndarray, to: np.nd
     return new, fallback
 
 
+def _shared_incidence(netlist, mode: str) -> np.ndarray:
+    """The netlist's shared-net incidence for ``mode``, built once per netlist.
+
+    ``"dense"`` is the boolean cell x net matrix; ``"csr"`` the sorted
+    ``cell * num_nets + net`` pin keys.  Both are read-only.
+    """
+
+    def build() -> np.ndarray:
+        num_cells = netlist.num_cells
+        num_nets = netlist.num_nets
+        flat_nets, counts = netlist.nets_of_cells_flat(
+            np.arange(num_cells, dtype=np.int64)
+        )
+        cell_of_pin = np.repeat(np.arange(num_cells, dtype=np.int64), counts)
+        if mode == "dense":
+            matrix = np.zeros((num_cells, num_nets), dtype=bool)
+            matrix[cell_of_pin, flat_nets] = True
+            return read_only(matrix)
+        # Per-cell net lists are sorted ascending (nets are appended in
+        # index order when the netlist builds its incidence), so the
+        # concatenated keys are globally sorted and one binary search
+        # answers the shared-net test in O(pins) memory instead of
+        # O(cells * nets).
+        return read_only(cell_of_pin * np.int64(num_nets) + flat_nets)
+
+    return problem_static(netlist, f"incidence.{mode}", build)
+
+
+def _build_commit_lists(layout) -> tuple:
+    """Static structure of the scalar commit path, as plain Python tuples.
+
+    Slot x/y, members per net, nets per cell and net weights: no per-item
+    ndarray boxing, so the per-commit net scan beats small-array NumPy
+    several times over.  Holds no reference to ``layout`` or its netlist.
+    """
+    netlist = layout.netlist
+    members = netlist.flat_members.tolist()
+    net_ptr = netlist.net_ptr.tolist()
+    cell_nets = netlist.cell_net_flat.tolist()
+    cell_ptr = netlist.cell_net_ptr.tolist()
+    return (
+        tuple(layout.slot_x.tolist()),
+        tuple(layout.slot_y.tolist()),
+        tuple(
+            tuple(members[net_ptr[i] : net_ptr[i + 1]])
+            for i in range(netlist.num_nets)
+        ),
+        tuple(
+            tuple(cell_nets[cell_ptr[c] : cell_ptr[c + 1]])
+            for c in range(netlist.num_cells)
+        ),
+        tuple(netlist.net_weights.tolist()),
+    )
+
+
 class WirelengthState:
     """Incremental HPWL cache bound to one :class:`Placement`.
 
@@ -193,11 +249,9 @@ class WirelengthState:
         self._xb = accel.ArrayBackend(device)
         self._dev_static: tuple | None = None
         self._dev_bbox: dict | None = None
-        # Static structure for the scalar commit path (plain Python lists:
-        # no per-item ndarray boxing, so the per-commit net scan beats
-        # small-array NumPy several times over).  Built lazily on the first
-        # committed swap — batch-only consumers (CLW trial scoring) never
-        # pay the O(pins) list construction or hold the boxed copies.
+        # The layout's shared commit lists (see _scalar_commit_lists),
+        # fetched on the first committed swap: batch-only consumers (CLW
+        # trial scoring) never build them.
         self._commit_lists: tuple | None = None
         num_cells = placement.num_cells
         num_nets = self._netlist.num_nets
@@ -209,28 +263,10 @@ class WirelengthState:
         if mode == "auto":
             mode = "dense" if 0 < num_cells * num_nets <= self.INCIDENCE_BUDGET else "csr"
         self._incidence_mode = mode
-        self._incidence: np.ndarray | None = None
-        self._csr_keys: np.ndarray | None = None
-        flat_nets, counts = self._netlist.nets_of_cells_flat(
-            np.arange(num_cells, dtype=np.int64)
-        )
-        if mode == "dense":
-            incidence_matrix = np.zeros((num_cells, num_nets), dtype=bool)
-            incidence_matrix[
-                np.repeat(np.arange(num_cells, dtype=np.int64), counts), flat_nets
-            ] = True
-            self._incidence = incidence_matrix
-        else:
-            # Per-cell net lists are sorted ascending (nets are appended in
-            # index order when the netlist builds its incidence), so the
-            # concatenated `cell * num_nets + net` keys are globally sorted
-            # and one binary search answers the shared-net test in
-            # O(pins) memory instead of O(cells * nets).
-            self._csr_keys = (
-                np.repeat(np.arange(num_cells, dtype=np.int64), counts)
-                * np.int64(num_nets)
-                + flat_nets
-            )
+        # Shared-net incidence, built once per netlist and shared read-only.
+        incidence_arr = _shared_incidence(self._netlist, mode)
+        self._incidence = incidence_arr if mode == "dense" else None
+        self._csr_keys = incidence_arr if mode == "csr" else None
         if mode not in WirelengthState._logged_modes:
             WirelengthState._logged_modes.add(mode)
             logger.info(
@@ -506,20 +542,11 @@ class WirelengthState:
     # committed updates
     # ------------------------------------------------------------------ #
     def _scalar_commit_lists(self) -> tuple:
-        """Python-list caches backing the scalar commit path (built lazily)."""
+        """The layout's shared commit-path lists, fetched on first use."""
         if self._commit_lists is None:
-            self._commit_lists = (
-                self._layout.slot_x.tolist(),
-                self._layout.slot_y.tolist(),
-                [
-                    self._netlist.net_members(i).tolist()
-                    for i in range(self._netlist.num_nets)
-                ],
-                [
-                    self._netlist.nets_of_cell(c).tolist()
-                    for c in range(self._placement.num_cells)
-                ],
-                self._netlist.net_weights.tolist(),
+            layout = self._layout
+            self._commit_lists = problem_static(
+                layout, "commit_lists", lambda: _build_commit_lists(layout)
             )
         return self._commit_lists
 

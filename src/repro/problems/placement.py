@@ -84,8 +84,13 @@ class PlacementProblem:
     ) -> CostEvaluator:
         """Build a private evaluator for a worker, bound to ``cell_to_slot``.
 
-        Every worker calls this once at start-up; afterwards new solutions are
-        installed through :meth:`CostEvaluator.install_solution`.
+        Workers call this at start-up and after a restore; otherwise new
+        solutions are installed through
+        :meth:`CostEvaluator.install_solution`.  The evaluator owns only
+        placement-dependent caches and scratch.  The static structure (timing
+        graph, net/pin adjacency, shared-net incidence) is built on the first
+        call for this problem's netlist and layout in a process, and every
+        later evaluator shares it read-only.
         """
         placement = Placement(self.layout, np.asarray(cell_to_slot, dtype=np.int64))
         return CostEvaluator(

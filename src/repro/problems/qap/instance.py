@@ -95,9 +95,14 @@ class QAPInstance:
         return self._symmetric
 
     def cost_of(self, assignment: np.ndarray) -> float:
-        """From-scratch cost of a facility→location permutation (O(n^2))."""
+        """From-scratch cost of a facility→location permutation (O(n^2)).
+
+        Two ``take`` gathers build the same C-ordered ``B[p][:, p]`` as
+        ``np.ix_`` fancy indexing, so the sum is bit-identical, at about
+        half the cost (this runs on every CLW delta adopt).
+        """
         p = np.asarray(assignment, dtype=np.int64)
-        return float(np.sum(self.flow * self.distance[np.ix_(p, p)]))
+        return float(np.sum(self.flow * self.distance.take(p, 0).take(p, 1)))
 
 
 # ---------------------------------------------------------------------- #

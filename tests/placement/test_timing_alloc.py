@@ -17,6 +17,7 @@ import pytest
 
 from repro.placement import Layout, load_benchmark, random_placement
 from repro.placement.timing import TimingAnalyzer
+from sta_oracle import reference_sta
 
 #: Steady-state allocation allowance per analyze() call.  The result's
 #: arrival array (num_cells float64) is returned to the caller and must be
@@ -65,7 +66,7 @@ class TestLargeTierParity:
         placement = request.getfixturevalue(circuit_fixture)
         analyzer = TimingAnalyzer(placement.netlist)
         fast = analyzer.analyze(placement)
-        slow = analyzer.analyze_reference(placement)
+        slow = reference_sta(placement.netlist, placement)
         assert fast.critical_delay == slow.critical_delay
         assert np.array_equal(fast.arrival, slow.arrival)
         assert fast.critical_path == slow.critical_path

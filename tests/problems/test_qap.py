@@ -38,6 +38,15 @@ class TestInstance:
         # swapped: 2*7 + 3*5 = 29
         assert instance.cost_of(np.array([1, 0])) == 29.0
 
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_cost_of_matches_ix_gather_bit_for_bit(self, symmetric):
+        instance = generate_qap(100, seed=4, symmetric=symmetric)
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            p = rng.permutation(instance.n)
+            ix_cost = float(np.sum(instance.flow * instance.distance[np.ix_(p, p)]))
+            assert instance.cost_of(p) == ix_cost
+
     def test_symmetry_detection(self):
         sym = generate_qap(10, seed=0, symmetric=True)
         asym = generate_qap(10, seed=0, symmetric=False)
