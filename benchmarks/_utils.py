@@ -1,10 +1,30 @@
-"""Helpers shared by the figure-reproduction benchmarks."""
+"""Helpers shared by the benchmark scripts."""
 
 from __future__ import annotations
 
+import os
 import pathlib
+import subprocess
+
+import numpy as np
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+
+def bench_env() -> dict:
+    """The ``env`` block of a ``BENCH_*.json``: cores, NumPy version, git sha.
+
+    The sha comes from ``git describe --always --dirty``, so numbers taken
+    on uncommitted sources say so.
+    """
+    try:
+        sha = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=RESULTS_DIR.parent, capture_output=True, text=True, timeout=10, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        sha = "unknown"
+    return {"cores": os.cpu_count() or 1, "numpy": np.__version__, "git_sha": sha}
 
 
 def run_once(benchmark, func, **kwargs):

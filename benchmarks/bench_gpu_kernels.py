@@ -44,6 +44,8 @@ from repro.problems.qap.evaluator import (
     deltas_for_swaps_reference as qap_reference,
 )
 
+from _utils import bench_env
+
 PAIRS_PER_STEP = 256
 SEED = 2003
 WARMUP = 5
@@ -152,6 +154,7 @@ def main() -> int:
         "bar": {"dispatch_tax_max": DISPATCH_TAX_BAR},
         "results": best,
         "attempts": len(attempts),
+        "env": bench_env(),
     }
     OUTPUT.write_text(json.dumps(payload, indent=2))
 

@@ -2,18 +2,24 @@
 """QAP kernel benchmark and smoke gate for the domain-agnostic core.
 
 Measures the QAP evaluator's hot kernels on a 100-facility instance and
-enforces the CI bar that justifies running QAP through the batched CLW path:
+enforces two CI bars:
 
 * **batch swap-delta >= 20x scalar** — one 256-pair ``evaluate_swaps_batch``
   call versus 256 scalar ``evaluate_swap`` calls (each scalar call is itself
   the O(n) delta, so the factor isolates the batching win, exactly like the
-  placement micro-bench); overridable with ``REPRO_QAP_BATCH_BAR``;
-* informational latencies for ``commit_swap``, bulk ``apply_swaps`` delta
-  adoption, full ``install_solution`` and the from-scratch O(n^2) cost.
+  placement micro-bench) — what justifies running QAP through the batched
+  CLW path;
+* **commit_swap <= 0.2x one batch call** — a single-pair commit runs the
+  scalar form of the batch kernel and must not pay the batch's array
+  overhead; the ratio is taken within one run, so it tracks the kernel and
+  not the machine;
+* informational latencies for bulk ``apply_swaps`` delta adoption, full
+  ``install_solution`` and the from-scratch O(n^2) cost.
 
 Results land in ``BENCH_qap.json`` (override with the ``BENCH_QAP_JSON``
-env var); CI uploads the file per run.  The bar retries once against runner
-noise.
+env var) together with an ``env`` block (cores, NumPy, git sha); the
+committed copy is the reference trajectory and CI uploads the file per run.
+The bars retry once against runner noise.
 
 Run it directly::
 
@@ -33,9 +39,12 @@ import numpy as np
 from repro.parallel.delta import swap_list_between
 from repro.problems.qap import QAPProblem, generate_qap
 
+from _utils import bench_env
+
 N_FACILITIES = 100
 BATCH_SIZE = 256
-BATCH_BAR = float(os.environ.get("REPRO_QAP_BATCH_BAR", "20"))
+BATCH_BAR = 20.0
+COMMIT_BAR = 0.2
 OUTPUT = Path(os.environ.get("BENCH_QAP_JSON", "BENCH_qap.json"))
 
 
@@ -102,10 +111,26 @@ def measure() -> dict:
         "scalar_eval_us": scalar_us,
         "batch_speedup_vs_scalar": speedup,
         "commit_swap_us": commit_us,
+        "commit_over_batch": commit_us / batch_us,
         "delta_adopt_plus_install_us": adopt_pair_us,
         "install_solution_us": install_us,
         "scratch_cost_us": scratch_us,
     }
+
+
+def _failures(results: dict) -> list:
+    failures = []
+    if results["batch_speedup_vs_scalar"] < BATCH_BAR:
+        failures.append(
+            f"batch swap-delta speedup {results['batch_speedup_vs_scalar']:.1f}x "
+            f"< {BATCH_BAR:.0f}x bar"
+        )
+    if results["commit_over_batch"] > COMMIT_BAR:
+        failures.append(
+            f"commit_swap {results['commit_over_batch']:.3f}x of a batch call "
+            f"> {COMMIT_BAR:.1f}x bar"
+        )
+    return failures
 
 
 def main() -> int:
@@ -113,14 +138,15 @@ def main() -> int:
     for attempt in range(2):  # one retry against runner noise
         results = measure()
         attempts.append(results)
-        if results["batch_speedup_vs_scalar"] >= BATCH_BAR:
+        if not _failures(results):
             break
 
-    best = max(attempts, key=lambda r: r["batch_speedup_vs_scalar"])
+    best = min(attempts, key=lambda r: len(_failures(r)))
     payload = {
-        "bar": {"batch_speedup_min": BATCH_BAR},
+        "bar": {"batch_speedup_min": BATCH_BAR, "commit_over_batch_max": COMMIT_BAR},
         "results": best,
         "attempts": len(attempts),
+        "env": bench_env(),
     }
     OUTPUT.write_text(json.dumps(payload, indent=2))
 
@@ -131,13 +157,14 @@ def main() -> int:
               else f"  {key:>28}: {value}")
     print(f"Results written to {OUTPUT}")
 
-    if best["batch_speedup_vs_scalar"] < BATCH_BAR:
-        print(f"FAIL: batch swap-delta speedup "
-              f"{best['batch_speedup_vs_scalar']:.1f}x < {BATCH_BAR:.0f}x bar",
-              file=sys.stderr)
+    failures = _failures(best)
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    if failures:
         return 1
     print(f"OK: batch swap-delta {best['batch_speedup_vs_scalar']:.1f}x >= "
-          f"{BATCH_BAR:.0f}x scalar")
+          f"{BATCH_BAR:.0f}x scalar; commit_swap {best['commit_over_batch']:.3f}x "
+          f"<= {COMMIT_BAR:.1f}x of a batch call")
     return 0
 
 

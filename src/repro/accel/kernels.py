@@ -6,9 +6,9 @@ masked-argmin select — live here as functions over an
 :class:`~repro.accel.backend.ArrayBackend` plus plain arrays.  The domain
 evaluators stage their device-resident state (matrices, incidence,
 bbox caches) and call in; under the CPU backend every array *is* the host
-array and the operations below are exactly the NumPy pipelines the direct
-kernels used — same operations, same order, bit-identical results (the
-parity suites in ``tests/accel`` pin this against frozen reference copies).
+array and the operations below reduce the same values in the same order as
+the direct kernels did — bit-identical results (the parity suites in
+``tests/accel`` pin this against frozen reference copies).
 
 Two sub-steps are backend-divergent by nature and are isolated behind
 explicit seams rather than hidden in the flow:
@@ -72,6 +72,7 @@ def qap_swap_deltas(
     backend: ArrayBackend,
     flow,
     dist,
+    dist_cols,
     p,
     a,
     b,
@@ -83,44 +84,47 @@ def qap_swap_deltas(
 ):
     """Raw-cost deltas of swapping each ``(a[i], b[i])`` facility pair.
 
-    All array arguments live in ``backend``'s space (``flow``/``dist``/``p``
-    device-resident, ``a``/``b``/``ra``/``rb`` the per-call uploads);
-    ``scratch`` is four reusable ``(m, n)`` float64 buffers from the
-    backend's pool.  The math and reduction order match the direct kernel
-    this replaced term-for-term — the symmetric path stages every gather
-    through the scratch buffers and mirrors the column sums off the row
-    sums, the asymmetric branch materialises its gathers.  Self-pairs get a
-    zero delta.  Returns a backend-space array (the caller downloads).
+    ``dist_cols`` is the distance matrix in facility order, ``dist[:, p]``,
+    kept exact by the caller (O(n) per moved facility), so a swap's
+    distance rows ``D[r, p(k)]`` are plain row gathers — four row gathers
+    per call and three scratch buffers.  ``flow``/``dist``/``dist_cols``/
+    ``p`` live in ``backend``'s space.  Index arrays ``(m,)`` score a batch
+    through ``(m, n)`` scratch; plain integers score one pair through
+    ``(n,)`` scratch with NumPy-scalar corner terms (the commit form, which
+    expects ``a != b``; batch self-pairs get a zero delta).  The ``...j``
+    reduction sums a 1-D row exactly as it sums a one-row batch, so the two
+    forms agree bit for bit, and under NumPy the batch matches the frozen
+    direct kernel.  Symmetric instances reuse the corrected row sums as the
+    column sums (identical expressions); the asymmetric branch gathers its
+    own.  Returns a backend-space array or scalar the caller downloads.
     """
     xp = backend.xp
-    buf0, buf1, buf2, buf3 = scratch
+    buf0, buf1, buf2 = scratch
     # row sums: sum_k (F[a,k] - F[b,k]) * (D[rb,p(k)] - D[ra,p(k)])
     xp.take(flow, a, axis=0, out=buf0)
     xp.take(flow, b, axis=0, out=buf1)
     xp.subtract(buf0, buf1, out=buf0)                            # flow rows
-    xp.take(dist, rb, axis=0, out=buf1)
-    xp.take(buf1, p, axis=1, out=buf2)
-    xp.take(dist, ra, axis=0, out=buf1)
-    xp.take(buf1, p, axis=1, out=buf3)
-    xp.subtract(buf2, buf3, out=buf2)                            # dist rows
-    row_sum = xp.einsum("ij,ij->i", buf0, buf2)
-    if symmetric:
-        # F = F^T and D = D^T make the column sums (and their k = a, b
-        # corrections below) equal to the row sums term-by-term
-        col_sum = row_sum.copy()
-    else:
-        # column sums: sum_k (F[k,a] - F[k,b]) * (D[p(k),rb] - D[p(k),ra])
-        flow_cols = (flow[:, a] - flow[:, b]).T                      # (m, n)
-        dist_cols = (dist[xp.ix_(p, rb)] - dist[xp.ix_(p, ra)]).T    # (m, n)
-        col_sum = xp.einsum("ij,ij->i", flow_cols, dist_cols)
+    xp.take(dist_cols, rb, axis=0, out=buf1)
+    xp.take(dist_cols, ra, axis=0, out=buf2)
+    xp.subtract(buf1, buf2, out=buf1)                            # dist rows
+    row_sum = xp.einsum("...j,...j->...", buf0, buf1)
 
-    # the k = a and k = b terms do not belong in the sums above ...
+    # the k = a and k = b terms do not belong in the sums ...
     f_aa, f_ab = flow[a, a], flow[a, b]
     f_ba, f_bb = flow[b, a], flow[b, b]
     d_aa, d_ab = dist[ra, ra], dist[ra, rb]
     d_ba, d_bb = dist[rb, ra], dist[rb, rb]
     row_sum -= (f_aa - f_ba) * (d_ba - d_aa) + (f_ab - f_bb) * (d_bb - d_ab)
-    col_sum -= (f_aa - f_ab) * (d_ab - d_aa) + (f_ba - f_bb) * (d_bb - d_ba)
+    if symmetric:
+        # F = F^T and D = D^T make the corrected column sums the very same
+        # expressions as the corrected row sums
+        col_sum = row_sum
+    else:
+        # column sums: sum_k (F[k,a] - F[k,b]) * (D[p(k),rb] - D[p(k),ra])
+        flow_cols = (flow[:, a] - flow[:, b]).T                      # (m, n)
+        dist_rows = (dist[:, rb][p] - dist[:, ra][p]).T              # (m, n)
+        col_sum = xp.einsum("...j,...j->...", flow_cols, dist_rows)
+        col_sum -= (f_aa - f_ab) * (d_ab - d_aa) + (f_ba - f_bb) * (d_bb - d_ba)
     # ... they enter exactly once as the four corner terms instead
     corners = (
         f_aa * (d_bb - d_aa)
@@ -129,7 +133,8 @@ def qap_swap_deltas(
         + f_ba * (d_ab - d_ba)
     )
     deltas = row_sum + col_sum + corners
-    deltas[a == b] = 0.0
+    if xp.ndim(a):
+        deltas[a == b] = 0.0
     return deltas
 
 

@@ -6,19 +6,25 @@ placement :class:`~repro.placement.cost.CostEvaluator` exposes — so the
 serial engine and the whole parallel stack (batched CLW trials, delta
 protocol, shared-memory shipping) run QAP unchanged:
 
+* **facility-ordered distances** — the evaluator keeps ``dist_cols =
+  distance[:, p]``, one n x n float64 matrix per evaluator whose column
+  ``k`` holds the distance from every location to facility ``k``'s
+  location.  Mutations refresh only the columns of facilities that moved:
+  two per swap, O(n) each; a restore, those where the assignment differs
+  from the snapshot; an install rebuilds it;
 * **batch swap-delta kernel** — ``evaluate_swaps_batch(pairs)`` scores a
   whole candidate list with the classic O(n)-per-pair QAP delta, vectorised
-  over the batch: for ``m`` pairs it gathers the ``(m, n)`` flow rows/columns
-  of the swapped facilities and the matching distance rows of their
-  locations, computes both rank-one correction sums in two fused array
-  passes and fixes up the four corner terms — no Python loop over pairs,
-  and nothing is mutated;
-* **exact commits** — ``commit_swap`` advances the resident cost by the same
-  delta; ``apply_swaps(..., exact_timing=True)`` (the delta-protocol adopt
-  path) finishes with a from-scratch O(n^2) refresh so delta shipment and
-  full shipment land in bit-identical states;
-* **snapshots** — ``save_state``/``restore_state`` are two scalars and one
-  array copy, which keeps compound-move rewinds cheap.
+  over the batch: four ``(m, n)`` row gathers (flow rows of the swapped
+  facilities, ``dist_cols`` rows of their locations), one reduction and
+  four corner terms — no Python loop over pairs, and nothing is mutated;
+* **exact commits** — ``commit_swap`` advances the resident cost by the
+  scalar form of the same kernel (integer indices, ``(n,)`` rows);
+  ``apply_swaps(..., exact_timing=True)`` (the delta-protocol adopt path)
+  finishes with a from-scratch O(n^2) refresh so delta shipment and full
+  shipment land in bit-identical states;
+* **snapshots** — ``save_state``/``restore_state`` are one scalar and one
+  array copy, which keeps compound-move rewinds cheap; ``dist_cols`` is
+  derived state, never snapshotted, checkpointed or shipped.
 
 Costs are normalised by the problem's *reference* cost (a seeded random
 solution scored once when the problem is built, mirroring the placement
@@ -104,19 +110,14 @@ class QAPEvaluator:
         reference = self._raw if reference_cost is None else float(reference_cost)
         self._scale = 1.0 / max(reference, 1e-9)
         self._reference_cost = reference
-        # The batch kernel runs through the accel dispatch layer: one
-        # resolved backend holding the (m, n) scratch packs — keyed by batch
-        # size, the driver only alternates between a handful of sizes — and,
-        # on cuda, the device-resident problem state.
+        # The delta kernel runs through the accel dispatch layer: one
+        # resolved backend holding the scratch packs — keyed by batch size,
+        # the driver only alternates between a handful of sizes — and, on
+        # cuda, the device-resident problem state.
         self._xb = accel.ArrayBackend(device)
-        if self._xb.is_cuda:  # pragma: no cover - exercised only with a GPU
-            self._dev_flow = self._xb.to_device(instance.flow)
-            self._dev_dist = self._xb.to_device(instance.distance)
-            self._dev_assignment = self._xb.to_device(self._assignment)
-        else:
-            self._dev_flow = instance.flow
-            self._dev_dist = instance.distance
-            self._dev_assignment = self._assignment
+        self._dev_flow = self._xb.to_device(instance.flow)
+        self._dev_dist = self._xb.to_device(instance.distance)
+        self._sync_moved()
         #: Number of swap evaluations performed (trials + commits); the
         #: simulated cluster charges this as the work a process consumed.
         self.evaluations: int = 0
@@ -190,38 +191,40 @@ class QAPEvaluator:
     # ------------------------------------------------------------------ #
     # the batched swap-delta kernel
     # ------------------------------------------------------------------ #
-    def _scratch_for(self, batch_size: int) -> Tuple[np.ndarray, ...]:
-        """Four reusable float64 ``(batch_size, n)`` buffers for the kernel.
+    def _scratch_for(self, *batch: int) -> np.ndarray:
+        """Three reusable float64 ``(*batch, n)`` buffers for the kernel.
 
-        One pooled ``(4, m, n)`` block per batch size from the backend's
-        scratch pool (the driver only ever uses a handful of sizes), sliced
-        into the four named buffers — on cuda the block is device memory,
-        so steady-state evaluation allocates nothing on either side.
+        One pooled ``(3, *batch, n)`` block per batch size from the
+        backend's scratch pool (the driver only ever uses a handful of
+        sizes); no ``batch`` gives the ``(n,)`` rows of the scalar commit
+        form.  On cuda the block is device memory, so steady-state
+        evaluation allocates nothing on either side.
         """
-        block = self._xb.scratch(
-            ("qap-deltas", batch_size), (4, batch_size, self._instance.n)
+        return self._xb.scratch(
+            ("qap-deltas",) + batch, (3,) + batch + (self._instance.n,)
         )
-        return block[0], block[1], block[2], block[3]
 
-    def _sync_device_assignment(self, cells=None) -> None:
-        """Refresh the backend-space assignment after a host-side mutation.
+    def _sync_moved(self, cells=None) -> None:
+        """Refresh the derived state after the facilities in ``cells`` moved.
 
-        On the CPU backend the device array *is* the host array — only a
-        rebind (``install_solution``) needs re-aliasing.  On cuda, pass the
-        mutated ``cells`` to scatter just those entries (the accepted swap
-        is the only per-iteration upload); ``None`` re-ships the whole
-        permutation (installs, restores).
+        Their ``dist_cols`` columns are re-derived from the distance matrix
+        (O(n) each) and, on cuda, their assignment entries scattered up.
+        ``None`` (construction, installs) re-ships the whole permutation and
+        rebuilds the matrix; on the CPU backend the device assignment *is*
+        the host array.
         """
-        if not self._xb.is_cuda:
-            self._dev_assignment = self._assignment
+        xb = self._xb
+        if cells is None:
+            self._dev_assignment = xb.to_device(self._assignment)
+            # take (not ``[:, p]``, which returns F-order) keeps the rows
+            # contiguous for the kernel's row gathers
+            self._dist_cols = xb.xp.take(self._dev_dist, self._dev_assignment, axis=1)
             return
-        if cells is not None:  # pragma: no cover - cupy only
-            idx = self._xb.to_device(np.asarray(cells, dtype=np.int64))
-            self._dev_assignment[idx] = self._xb.to_device(
-                self._assignment[np.asarray(cells, dtype=np.int64)]
-            )
-        else:  # pragma: no cover - cupy only
-            self._dev_assignment = self._xb.to_device(self._assignment)
+        for cell in cells:
+            self._dist_cols[:, cell] = self._dev_dist[:, self._assignment[cell]]
+        if xb.is_cuda:  # pragma: no cover - cupy only
+            idx = np.asarray(cells, dtype=np.int64)
+            self._dev_assignment[xb.to_device(idx)] = xb.to_device(self._assignment[idx])
 
     def transfer_stats(self) -> TransferStats:
         """Host↔device traffic this evaluator has caused (all-zero on CPU)."""
@@ -247,12 +250,12 @@ class QAPEvaluator:
         Each pair costs O(n); the whole batch runs as a handful of ``(m, n)``
         array operations in :func:`repro.accel.kernels.qap_swap_deltas` —
         the xp-generic kernel shared with the cuda backend, staged through
-        the backend's pooled scratch packs (:meth:`_scratch_for`).  Under
-        NumPy the operations and reduction order are exactly the direct
-        kernel's, pinned bit-identical against
-        :func:`deltas_for_swaps_reference`; on cuda only the sampled pair
-        indices go up and the O(m) deltas come down.  Self-pairs get a
-        zero delta.
+        the backend's pooled scratch packs (:meth:`_scratch_for`).  The
+        distance rows ``D[r, p(k)]`` are row gathers from the resident
+        ``dist_cols``; values and reduction order are the direct kernel's,
+        pinned bit-identical against :func:`deltas_for_swaps_reference`.
+        On cuda only the sampled pair indices go up and the O(m) deltas
+        come down.  Self-pairs get a zero delta.
         """
         a = np.asarray(cells_a, dtype=np.int64)
         b = np.asarray(cells_b, dtype=np.int64)
@@ -266,6 +269,7 @@ class QAPEvaluator:
             xb,
             self._dev_flow,
             self._dev_dist,
+            self._dist_cols,
             self._dev_assignment,
             xb.to_device(a),
             xb.to_device(b),
@@ -275,6 +279,21 @@ class QAPEvaluator:
             scratch=self._scratch_for(int(a.size)),
         )
         return xb.to_host(deltas)
+
+    def _swap_delta(self, cell_a: int, cell_b: int) -> float:
+        """Raw-cost delta of one swap (``cell_a != cell_b``).
+
+        The scalar form of the batch kernel — ``(n,)`` rows, NumPy-scalar
+        corner terms — equal bit for bit to a one-pair
+        :meth:`deltas_for_swaps` at a fraction of its array overhead.
+        """
+        p = self._assignment
+        delta = accel.qap_swap_deltas(
+            self._xb, self._dev_flow, self._dev_dist, self._dist_cols,
+            self._dev_assignment, cell_a, cell_b, int(p[cell_a]), int(p[cell_b]),
+            symmetric=self._symmetric, scratch=self._scratch_for(),
+        )
+        return float(self._xb.to_host(delta))
 
     def evaluate_swaps_batch(self, pairs) -> np.ndarray:
         """Costs the solution would have under each candidate swap of a batch.
@@ -312,16 +331,15 @@ class QAPEvaluator:
         if cell_a == cell_b:
             return self.cost()
         self.evaluations += 1
-        self._raw += float(
-            self.deltas_for_swaps(
-                np.array([cell_a], dtype=np.int64), np.array([cell_b], dtype=np.int64)
-            )[0]
-        )
+        self._commit(cell_a, cell_b)
+        return self.cost()
+
+    def _commit(self, cell_a: int, cell_b: int) -> None:
+        """Advance the resident cost by one swap's delta, then apply it."""
+        self._raw += self._swap_delta(cell_a, cell_b)
         assignment = self._assignment
         assignment[cell_a], assignment[cell_b] = assignment[cell_b], assignment[cell_a]
-        if self._xb.is_cuda:  # pragma: no cover - cupy only
-            self._sync_device_assignment((cell_a, cell_b))
-        return self.cost()
+        self._sync_moved((cell_a, cell_b))
 
     def apply_swaps(self, pairs, *, exact_timing: bool = False) -> float:
         """Commit a short swap sequence against the resident state.
@@ -342,20 +360,14 @@ class QAPEvaluator:
             return self.cost()
         if not exact_timing:
             self.evaluations += len(arr)
+            for cell_a, cell_b in arr.tolist():
+                self._commit(cell_a, cell_b)
+            return self.cost()
         assignment = self._assignment
         for cell_a, cell_b in arr.tolist():
-            if not exact_timing:
-                self._raw += float(
-                    self.deltas_for_swaps(
-                        np.array([cell_a], dtype=np.int64),
-                        np.array([cell_b], dtype=np.int64),
-                    )[0]
-                )
             assignment[cell_a], assignment[cell_b] = assignment[cell_b], assignment[cell_a]
-            if self._xb.is_cuda:  # pragma: no cover - cupy only
-                self._sync_device_assignment((cell_a, cell_b))
-        if exact_timing:
-            self._raw = self._instance.cost_of(self._assignment)
+        self._sync_moved(np.unique(arr).tolist())
+        self._raw = self._instance.cost_of(self._assignment)
         return self.cost()
 
     def undo_swaps(self, pairs) -> float:
@@ -377,7 +389,7 @@ class QAPEvaluator:
         """Adopt a whole new assignment (e.g. received from another worker)."""
         self._assignment = self._validated(assignment)
         self._raw = self._instance.cost_of(self._assignment)
-        self._sync_device_assignment()
+        self._sync_moved()
         return self.cost()
 
     def rebuild(self) -> None:
@@ -398,11 +410,15 @@ class QAPEvaluator:
         )
 
     def restore_state(self, state: QAPEvaluatorState) -> None:
-        """Rewind to a :meth:`save_state` snapshot (``evaluations`` stays)."""
+        """Rewind to a :meth:`save_state` snapshot (``evaluations`` stays).
+
+        Only the facilities whose location differs from the snapshot get
+        their ``dist_cols`` column refreshed.
+        """
+        moved = np.flatnonzero(self._assignment != state.assignment).tolist()
         self._assignment[:] = state.assignment
         self._raw = state.raw_cost
-        if self._xb.is_cuda:  # pragma: no cover - cupy only
-            self._sync_device_assignment()
+        self._sync_moved(moved)
 
     # ------------------------------------------------------------------ #
     # neighbourhood hooks / self-checks
@@ -422,7 +438,11 @@ class QAPEvaluator:
         return 0.5 * (dist[here, there] + dist[there, here])
 
     def verify_consistency(self, *, atol: float = 1e-6) -> None:
-        """Check the resident cost against a from-scratch recomputation."""
+        """Check the resident state against a from-scratch recomputation.
+
+        The cost may drift by floating-point re-accumulation (``atol``);
+        the facility-ordered distance matrix must match exactly.
+        """
         exact = self._instance.cost_of(self._assignment)
         if abs(exact - self._raw) > atol * max(1.0, abs(exact)):
             raise ReproError(
@@ -430,6 +450,9 @@ class QAPEvaluator:
             )
         if len(np.unique(self._assignment)) != self._instance.n:
             raise ReproError("assignment is no longer a permutation")
+        expected = self._instance.distance.take(self._assignment, axis=1)
+        if not np.array_equal(self._xb.to_host(self._dist_cols), expected):
+            raise ReproError("facility-ordered distance matrix is stale")
 
 
 # ---------------------------------------------------------------------- #
