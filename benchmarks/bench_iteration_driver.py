@@ -21,14 +21,14 @@ measures the result and guards it:
   for a compound-move-sized rewind (documents why the driver jumps through
   ``save_state``/``restore_state`` tokens).
 
-Results land in ``BENCH_driver.json`` (override with ``BENCH_DRIVER_JSON``);
-CI uploads the file per run.  Enforced bars (each overridable by env var,
-retried once against runner noise):
+Results land in ``BENCH_driver.json`` (override with ``BENCH_DRIVER_JSON``)
+together with an ``env`` block (cores, NumPy, git sha); the file is tracked
+in the repository and CI uploads it per run.  Enforced bars (retried once
+against runner noise):
 
-* serial vectorized iteration on c532 <= 7 ms (``REPRO_DRIVER_SERIAL_BAR_MS``;
-  the dev-environment target is <= 5 ms — CI runners get headroom);
-* driver-overhead ratio <= 3x on both instances
-  (``REPRO_DRIVER_OVERHEAD_RATIO``).
+* serial vectorized iteration on c532 <= 7 ms (the dev-environment target
+  is <= 5 ms — CI runners get headroom);
+* driver-overhead ratio <= 3x on both instances.
 
 Run it directly::
 
@@ -55,13 +55,15 @@ from repro import (
 from repro.core import get_domain
 from repro.parallel import build_problem
 
+from _utils import bench_env
+
 PAIRS_PER_STEP = 256
 MOVE_DEPTH = 6
 SEED = 2003
 WARMUP_ITERATIONS = 15
 MEASURED_ITERATIONS = 60
-SERIAL_BAR_MS = float(os.environ.get("REPRO_DRIVER_SERIAL_BAR_MS", "7"))
-OVERHEAD_RATIO_BAR = float(os.environ.get("REPRO_DRIVER_OVERHEAD_RATIO", "3"))
+SERIAL_BAR_MS = 7.0
+OVERHEAD_RATIO_BAR = 3.0
 OUTPUT = Path(os.environ.get("BENCH_DRIVER_JSON", "BENCH_driver.json"))
 
 
@@ -193,6 +195,7 @@ def main() -> int:
         },
         "results": best,
         "attempts": len(attempts),
+        "env": bench_env(),
     }
     OUTPUT.write_text(json.dumps(payload, indent=2))
 

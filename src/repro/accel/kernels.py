@@ -10,16 +10,13 @@ array and the operations below reduce the same values in the same order as
 the direct kernels did — bit-identical results (the parity suites in
 ``tests/accel`` pin this against frozen reference copies).
 
-Two sub-steps are backend-divergent by nature and are isolated behind
-explicit seams rather than hidden in the flow:
-
-* the CSR shared-net membership test has a numba-aware CPU twin
-  (:func:`repro.placement._kernels.shared_net_mask`, passed in by the
-  caller) and a generic ``searchsorted`` path that runs under cupy;
-* the segment-reduce fallback for vacated bbox edges relies on
-  ``ufunc.reduceat``, which cupy does not implement — those (rare) segments
-  are reduced on the host and scattered back, which is why ``moved`` and
-  the coordinate arrays stay host-side.
+One sub-step is backend-divergent by nature and is isolated behind an
+explicit seam rather than hidden in the flow: the CSR shared-net membership
+test has a numba-aware CPU twin (:func:`repro.placement._kernels.
+shared_net_mask`, passed in by the caller) and a generic ``searchsorted``
+path that runs under cupy.  Everything else of the HPWL kernel is O(1) per
+item over cached per-net arrays, so under cupy it runs on the device from
+the uploaded item arrays to the folded per-pair deltas.
 """
 
 from __future__ import annotations
@@ -159,26 +156,12 @@ class HpwlArrays:
     x_max: object
     y_min: object
     y_max: object
-    n_x_min: object
-    n_x_max: object
-    n_y_min: object
-    n_y_max: object
+    x_min2: object
+    x_max2: object
+    y_min2: object
+    y_max2: object
     per_net: object
     net_weights: object
-
-
-def _shrink_min(xp, cur, support, frm, to):
-    """Fast-path new minimum after one pin moves ``frm → to`` (+ fallback mask)."""
-    new = xp.minimum(cur, to)
-    fallback = (frm == cur) & (support <= 1) & (to > cur)
-    return new, fallback
-
-
-def _shrink_max(xp, cur, support, frm, to):
-    """Fast-path new maximum after one pin moves ``frm → to`` (+ fallback mask)."""
-    new = xp.maximum(cur, to)
-    fallback = (frm == cur) & (support <= 1) & (to < cur)
-    return new, fallback
 
 
 def _shared_net_mask_generic(xp, sorted_keys, query_keys):
@@ -201,18 +184,12 @@ def hpwl_batch_deltas(
     pair: np.ndarray,
     net: np.ndarray,
     other: np.ndarray,
-    moved: np.ndarray,
     from_x: np.ndarray,
     from_y: np.ndarray,
     to_x: np.ndarray,
     to_y: np.ndarray,
     active: np.ndarray,
-    cts: np.ndarray,
-    slot_x: np.ndarray,
-    slot_y: np.ndarray,
-    gather_members: Callable,
     shared_mask_cpu: Callable,
-    bbox_reduce_cpu: Callable,
 ) -> np.ndarray:
     """Weighted-HPWL deltas of a flat-expanded candidate batch.
 
@@ -222,13 +199,13 @@ def hpwl_batch_deltas(
 
     1. neutralise items whose swap partner shares the net (one dense
        incidence gather, or a binary search of the sorted CSR keys);
-    2. O(1) bbox-edge updates from the cached edge multiplicities;
-    3. host-side segment-reduce for the rare vacated-edge fallbacks
-       (``reduceat`` has no cupy equivalent), scattered back;
-    4. weighted per-item deltas folded per pair with ``bincount``.
+    2. O(1) bbox-edge updates: an edge the moved pin leaves (``from`` on
+       the edge) falls back to the edge's cached second order statistic,
+       and the pin's new coordinate ``to`` then extends the box;
+    3. weighted per-item deltas folded per pair with ``bincount``.
 
-    ``moved``, ``cts``, ``slot_x``, ``slot_y`` stay host-side (fallback
-    only).  Returns a *host* float64 array of per-pair deltas.
+    No step re-reads net members, so the whole kernel stays in
+    ``backend``'s space.  Returns a *host* float64 array of per-pair deltas.
     """
     xp = backend.xp
     out = np.zeros(num_pairs, dtype=np.float64)
@@ -248,46 +225,21 @@ def hpwl_batch_deltas(
     if not bool(active_d.any()):
         return out
 
+    # --- O(1) bbox-edge updates from the cache ------------------------- #
     from_x_d = backend.to_device(from_x)
     from_y_d = backend.to_device(from_y)
     to_x_d = backend.to_device(to_x)
     to_y_d = backend.to_device(to_y)
-
-    # --- O(1) bbox-edge updates from the cache ------------------------- #
-    new_x_min, fb_x_min = _shrink_min(
-        xp, arrays.x_min[net_d], arrays.n_x_min[net_d], from_x_d, to_x_d
-    )
-    new_x_max, fb_x_max = _shrink_max(
-        xp, arrays.x_max[net_d], arrays.n_x_max[net_d], from_x_d, to_x_d
-    )
-    new_y_min, fb_y_min = _shrink_min(
-        xp, arrays.y_min[net_d], arrays.n_y_min[net_d], from_y_d, to_y_d
-    )
-    new_y_max, fb_y_max = _shrink_max(
-        xp, arrays.y_max[net_d], arrays.n_y_max[net_d], from_y_d, to_y_d
-    )
-
-    # --- segment-reduce fallback for vacated edges --------------------- #
-    # inactive items are excluded: their contribution is zeroed below, so
-    # re-reducing their members would be pure waste
-    fallback = (fb_x_min | fb_x_max | fb_y_min | fb_y_max) & active_d
-    if bool(fallback.any()):
-        idx = np.flatnonzero(backend.to_host(fallback))
-        members, counts = gather_members(net[idx])
-        fb_x_lo, fb_x_hi, fb_y_lo, fb_y_hi = bbox_reduce_cpu(
-            members, counts, moved[idx], to_x[idx], to_y[idx], cts, slot_x, slot_y
-        )
-        if xp is np:
-            new_x_min[idx] = fb_x_lo
-            new_x_max[idx] = fb_x_hi
-            new_y_min[idx] = fb_y_lo
-            new_y_max[idx] = fb_y_hi
-        else:  # pragma: no cover - cupy only
-            idx_d = backend.to_device(idx)
-            new_x_min[idx_d] = backend.to_device(fb_x_lo)
-            new_x_max[idx_d] = backend.to_device(fb_x_hi)
-            new_y_min[idx_d] = backend.to_device(fb_y_lo)
-            new_y_max[idx_d] = backend.to_device(fb_y_hi)
+    new_edges = []
+    for frm, to, edge, second, bound in (
+        (from_x_d, to_x_d, arrays.x_min, arrays.x_min2, xp.minimum),
+        (from_x_d, to_x_d, arrays.x_max, arrays.x_max2, xp.maximum),
+        (from_y_d, to_y_d, arrays.y_min, arrays.y_min2, xp.minimum),
+        (from_y_d, to_y_d, arrays.y_max, arrays.y_max2, xp.maximum),
+    ):
+        cur = edge[net_d]
+        new_edges.append(bound(xp.where(frm == cur, second[net_d], cur), to))
+    new_x_min, new_x_max, new_y_min, new_y_max = new_edges
 
     # --- weighted per-item deltas, folded per pair --------------------- #
     new_hpwl = (new_x_max - new_x_min) + (new_y_max - new_y_min)

@@ -1,14 +1,14 @@
-"""Optional numba-jitted variants of the swap-delta inner loops.
+"""Optional numba-jitted variant of the swap-delta CSR membership search.
 
-The batched wirelength kernel has two scalar-ish inner loops that NumPy can
-only express as multi-pass array pipelines: the CSR shared-net membership
-test (a binary search per flat ``(pair, net)`` item) and the segment-reduce
-fallback for vacated bbox edges.  When `numba <https://numba.pydata.org>`__
-is importable, this module exposes ``@njit``-compiled single-pass versions
-of both; otherwise the NumPy implementations are used.  Selection is
-automatic at import time — the kernels' *values* are identical either way,
-only the execution strategy differs, so the trajectory-identity suite holds
-regardless of which path is active.
+The batched wirelength kernel has one scalar-ish inner loop that NumPy can
+only express as a multi-pass array pipeline: the CSR shared-net membership
+test (a binary search per flat ``(pair, net)`` item).  When
+`numba <https://numba.pydata.org>`__ is importable, this module exposes an
+``@njit``-compiled single-pass version of it; otherwise the NumPy
+implementation is used.  Selection is automatic at import time — the
+kernel's *values* are identical either way, only the execution strategy
+differs, so the trajectory-identity suite holds regardless of which path is
+active.
 
 numba is an **optional** dependency: the base environment does not ship it
 and nothing here may fail when it is absent.  Set ``REPRO_JIT=0`` to force
@@ -27,7 +27,6 @@ __all__ = [
     "jit_enabled",
     "shared_net_mask",
     "shared_net_mask_numpy",
-    "fallback_bbox_reduce",
 ]
 
 
@@ -59,7 +58,7 @@ if not HAVE_NUMBA:
 
 
 def jit_enabled() -> bool:
-    """Whether the jitted kernel variants are active in this process."""
+    """Whether the jitted kernel variant is active in this process."""
     return HAVE_NUMBA
 
 
@@ -73,13 +72,11 @@ def shared_net_mask_numpy(sorted_keys: np.ndarray, query_keys: np.ndarray) -> np
     of the cell→net incidence; a query key is present iff that cell sits on
     that net.  One ``searchsorted`` plus a gather-and-compare.
     """
-    out = np.zeros(query_keys.size, dtype=bool)
-    if sorted_keys.size == 0 or query_keys.size == 0:
-        return out
+    if sorted_keys.size == 0:
+        return np.zeros(query_keys.size, dtype=bool)
     pos = np.searchsorted(sorted_keys, query_keys)
     np.minimum(pos, sorted_keys.size - 1, out=pos)
-    np.equal(sorted_keys[pos], query_keys, out=out)
-    return out
+    return sorted_keys[pos] == query_keys
 
 
 @njit(cache=True)
@@ -105,99 +102,3 @@ def shared_net_mask(sorted_keys: np.ndarray, query_keys: np.ndarray) -> np.ndarr
     if HAVE_NUMBA and sorted_keys.size and query_keys.size:
         return _shared_net_mask_jit(sorted_keys, query_keys)
     return shared_net_mask_numpy(sorted_keys, query_keys)
-
-
-# ---------------------------------------------------------------------- #
-# segment-reduce fallback for vacated bbox edges
-# ---------------------------------------------------------------------- #
-def fallback_bbox_reduce_numpy(
-    members: np.ndarray,
-    counts: np.ndarray,
-    moved: np.ndarray,
-    to_x: np.ndarray,
-    to_y: np.ndarray,
-    cts: np.ndarray,
-    slot_x: np.ndarray,
-    slot_y: np.ndarray,
-):
-    """Exact bboxes of fallback segments with one pin hypothetically moved.
-
-    For each segment ``s`` (one net of one trial swap), scan its ``counts[s]``
-    members with the moved pin at ``(to_x[s], to_y[s])`` and every other pin
-    at its placed coordinate; returns the four bbox edge arrays.  NumPy path:
-    masked substitution plus four ``reduceat`` passes.
-    """
-    moved_rep = np.repeat(moved, counts)
-    mx = np.where(members == moved_rep, np.repeat(to_x, counts), slot_x[cts[members]])
-    my = np.where(members == moved_rep, np.repeat(to_y, counts), slot_y[cts[members]])
-    starts = np.zeros(counts.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    return (
-        np.minimum.reduceat(mx, starts),
-        np.maximum.reduceat(mx, starts),
-        np.minimum.reduceat(my, starts),
-        np.maximum.reduceat(my, starts),
-    )
-
-
-@njit(cache=True)
-def _fallback_bbox_reduce_jit(  # pragma: no cover - numba
-    members, counts, moved, to_x, to_y, cts, slot_x, slot_y
-):
-    num = counts.size
-    x_min = np.empty(num, dtype=np.float64)
-    x_max = np.empty(num, dtype=np.float64)
-    y_min = np.empty(num, dtype=np.float64)
-    y_max = np.empty(num, dtype=np.float64)
-    cursor = 0
-    for s in range(num):
-        mv = moved[s]
-        tx = to_x[s]
-        ty = to_y[s]
-        lo_x = np.inf
-        hi_x = -np.inf
-        lo_y = np.inf
-        hi_y = -np.inf
-        for _ in range(counts[s]):
-            m = members[cursor]
-            cursor += 1
-            if m == mv:
-                x = tx
-                y = ty
-            else:
-                slot = cts[m]
-                x = slot_x[slot]
-                y = slot_y[slot]
-            if x < lo_x:
-                lo_x = x
-            if x > hi_x:
-                hi_x = x
-            if y < lo_y:
-                lo_y = y
-            if y > hi_y:
-                hi_y = y
-        x_min[s] = lo_x
-        x_max[s] = hi_x
-        y_min[s] = lo_y
-        y_max[s] = hi_y
-    return x_min, x_max, y_min, y_max
-
-
-def fallback_bbox_reduce(
-    members: np.ndarray,
-    counts: np.ndarray,
-    moved: np.ndarray,
-    to_x: np.ndarray,
-    to_y: np.ndarray,
-    cts: np.ndarray,
-    slot_x: np.ndarray,
-    slot_y: np.ndarray,
-):
-    """Exact fallback-segment bboxes (auto-selected path, see the NumPy twin)."""
-    if HAVE_NUMBA and counts.size:
-        return _fallback_bbox_reduce_jit(
-            members, counts, moved, to_x, to_y, cts, slot_x, slot_y
-        )
-    return fallback_bbox_reduce_numpy(
-        members, counts, moved, to_x, to_y, cts, slot_x, slot_y
-    )

@@ -538,7 +538,7 @@ class CostEvaluator:
                 f"wirelength cache drift: cached={self._wirelength.total}, exact={wl}"
             )
         try:
-            self._wirelength.verify_consistency(atol=atol)
+            self._wirelength.verify_consistency()
         except ValueError as exc:
             raise CostModelError(str(exc)) from exc
         area = full_area(self._placement)

@@ -10,14 +10,13 @@ Three access patterns are provided:
   when a solution arrives over the (simulated) network or when caches need a
   rebuild;
 * :class:`WirelengthState` — an incremental cache of per-net bounding boxes
-  (``x_min/x_max/y_min/y_max`` plus the number of members sitting on each
-  bbox edge) that can evaluate the *delta* of a candidate swap with O(affected
-  nets) arithmetic and no member re-gather in the common case;
+  (``x_min/x_max/y_min/y_max`` plus each edge's second order statistic, the
+  edge the box would have with one of its pins removed) that evaluates the
+  *delta* of a candidate swap with O(1) arithmetic per affected net and no
+  member re-gather, ever;
 * :meth:`WirelengthState.deltas_for_swaps` — the batched kernel: it scores an
   entire candidate neighbourhood in a handful of NumPy operations (flat CSR
-  cell→net expansion, no per-trial ``union1d``), falling back to a vectorised
-  segment reduce only for the rare trials where a moved cell is the sole
-  support of a bbox edge.
+  cell→net expansion, no per-trial ``union1d``, no segment reduce).
 
 The tabu-search inner loop only ever uses deltas, so this module is the
 hottest code path of the whole reproduction: every CLW trial swap lands here.
@@ -90,63 +89,85 @@ def full_hpwl(placement: Placement) -> Tuple[np.ndarray, float]:
     return per_net, total
 
 
+def _degree_buckets(netlist) -> tuple:
+    """Static member matrices of the nets, one per net degree.
+
+    One read-only ``(nets, members)`` pair per degree ``d``: ``members`` is
+    the ``(len(nets), d)`` member matrix of the degree-``d`` nets ``nets``.
+    Built once per netlist; O(pins) in size.
+    """
+
+    def build() -> tuple:
+        degrees = netlist.net_degrees
+        starts = netlist.net_ptr[:-1]
+        buckets = []
+        for degree in np.unique(degrees).tolist():
+            nets = np.flatnonzero(degrees == degree)
+            members = netlist.flat_members[starts[nets, None] + np.arange(degree)]
+            buckets.append((read_only(nets), read_only(members)))
+        return tuple(buckets)
+
+    return problem_static(netlist, "degree_buckets", build)
+
+
+def _row_stats(ranked: np.ndarray, degrees: np.ndarray | None = None) -> tuple:
+    """``(min, max, min2, max2)`` of each row of a row-sorted matrix.
+
+    Without ``degrees`` every row is full; otherwise row ``i`` holds
+    ``degrees[i]`` values followed by ``+inf`` pads.
+    """
+    if degrees is None:
+        return ranked[:, 0], ranked[:, -1], ranked[:, 1], ranked[:, -2]
+    rows = np.arange(degrees.size)
+    last = ranked[rows, degrees - 1]
+    return ranked[:, 0], last, ranked[:, 1], ranked[rows, degrees - 2]
+
+
 def net_bboxes(
     placement: Placement, nets: np.ndarray | None = None
 ) -> Tuple[np.ndarray, ...]:
-    """Bounding boxes (and edge multiplicities) of ``nets`` in one pass.
+    """Bounding boxes (and second edge statistics) of ``nets`` in one pass.
 
     Returns eight arrays aligned with ``nets`` (or with all nets when ``nets``
-    is ``None``): ``x_min, x_max, y_min, y_max`` and the number of member
-    pins sitting exactly on each of the four bbox edges.  The multiplicity
-    counts are what make O(1) incremental updates possible: a pin may leave a
-    bbox edge without shrinking the box whenever other pins still support it.
+    is ``None``): ``x_min, x_max, y_min, y_max`` and each edge's second
+    order statistic counting ties, ``x_min2, x_max2, y_min2, y_max2``.
+    ``x_min2`` is the smallest x left once one pin at ``x_min`` is removed:
+    it equals ``x_min`` when two or more pins sit on that edge (``x_max2``
+    mirrors it).  They make the trial update O(1): a pin leaving ``x_min``
+    leaves ``x_min2``.  Every net has at least two pins, so every value is a
+    selected pin coordinate, never a sum and never infinite.
+
+    Each net's pin coordinates are sorted as one matrix row: the full
+    rebuild sorts one static member matrix per net degree, a subset sorts
+    its members gathered into rows padded with ``+inf``.
     """
     netlist = placement.netlist
-    layout = placement.layout
-    if nets is None:
-        members = netlist.flat_members
-        counts = netlist.net_degrees
+    cts = placement.cell_to_slot
+    axes = (placement.layout.slot_x, placement.layout.slot_y)
+    if nets is not None:
+        nets = np.asarray(nets, dtype=np.int64)
+        degrees = netlist.net_degrees[nets]
+        columns = np.arange(degrees.max(initial=2))
+        present = columns < degrees[:, None]
+        index = np.where(present, netlist.net_ptr[nets, None] + columns, 0)
+        slots = cts[netlist.flat_members[index]]
+        x_stats, y_stats = (
+            _row_stats(np.sort(np.where(present, c[slots], np.inf), axis=1), degrees)
+            for c in axes
+        )
     else:
-        members, counts = netlist.net_members_of(nets)
-    num = int(counts.size)
-    if num == 0:
-        zero_f = np.zeros(0, dtype=np.float64)
-        zero_i = np.zeros(0, dtype=np.int64)
-        return zero_f, zero_f.copy(), zero_f.copy(), zero_f.copy(), zero_i, zero_i.copy(), zero_i.copy(), zero_i.copy()
-    slots = placement.cell_to_slot[members]
-    xs = layout.slot_x[slots]
-    ys = layout.slot_y[slots]
-    starts = np.zeros(num, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    x_min = np.minimum.reduceat(xs, starts)
-    x_max = np.maximum.reduceat(xs, starts)
-    y_min = np.minimum.reduceat(ys, starts)
-    y_max = np.maximum.reduceat(ys, starts)
-    n_x_min = np.add.reduceat((xs == np.repeat(x_min, counts)).astype(np.int64), starts)
-    n_x_max = np.add.reduceat((xs == np.repeat(x_max, counts)).astype(np.int64), starts)
-    n_y_min = np.add.reduceat((ys == np.repeat(y_min, counts)).astype(np.int64), starts)
-    n_y_max = np.add.reduceat((ys == np.repeat(y_max, counts)).astype(np.int64), starts)
-    return x_min, x_max, y_min, y_max, n_x_min, n_x_max, n_y_min, n_y_max
-
-
-def _shrink_min(cur: np.ndarray, support: np.ndarray, frm: np.ndarray, to: np.ndarray):
-    """Fast-path new minimum after one pin moves ``frm → to``.
-
-    Returns ``(new_min, needs_fallback)``.  The fast path is exact except when
-    the moving pin was the *only* support of the current minimum and it lands
-    strictly inside the box — then the true new minimum lies somewhere among
-    the remaining pins and a segment reduce is required.
-    """
-    new = np.minimum(cur, to)
-    fallback = (frm == cur) & (support <= 1) & (to > cur)
-    return new, fallback
-
-
-def _shrink_max(cur: np.ndarray, support: np.ndarray, frm: np.ndarray, to: np.ndarray):
-    """Fast-path new maximum after one pin moves ``frm → to`` (see _shrink_min)."""
-    new = np.maximum(cur, to)
-    fallback = (frm == cur) & (support <= 1) & (to < cur)
-    return new, fallback
+        x_stats, y_stats = stats = tuple(
+            tuple(np.empty(netlist.num_nets, dtype=np.float64) for _ in range(4))
+            for _ in axes
+        )
+        for bucket_nets, members in _degree_buckets(netlist):
+            slots = cts[members]
+            for axis_stats, coords in zip(stats, axes):
+                ranked = coords[slots]
+                ranked.sort(axis=1)
+                for full, part in zip(axis_stats, _row_stats(ranked)):
+                    full[bucket_nets] = part
+    return x_stats[:2] + y_stats[:2] + x_stats[2:] + y_stats[2:]
 
 
 def _shared_incidence(netlist, mode: str) -> np.ndarray:
@@ -207,12 +228,13 @@ def _build_commit_lists(layout) -> tuple:
 class WirelengthState:
     """Incremental HPWL cache bound to one :class:`Placement`.
 
-    The cache holds, for every net, the bounding box of its pins and the
-    number of pins on each bbox edge, plus the unweighted HPWL and the
-    weighted total.  ``delta_for_swap`` / ``deltas_for_swaps`` answer "how
-    would the total change if cells *a* and *b* exchanged slots?" without
-    mutating anything; ``commit_swap`` must be called *after* the placement
-    has actually been swapped to keep the cache in sync.
+    The cache holds, for every net, the bounding box of its pins and each
+    edge's second order statistic (see :func:`net_bboxes`), plus the
+    unweighted HPWL and the weighted total.  ``delta_for_swap`` /
+    ``deltas_for_swaps`` answer "how would the total change if cells *a*
+    and *b* exchanged slots?" without mutating anything; ``commit_swap``
+    must be called *after* the placement has actually been swapped to keep
+    the cache in sync.
     """
 
     #: Largest ``num_cells * num_nets`` for which the dense boolean
@@ -224,8 +246,9 @@ class WirelengthState:
 
     #: Largest pin count for which the scalar commit path's Python list
     #: caches (net members, per-cell nets, coordinates) may be built; bigger
-    #: instances route committed swaps through the vectorised segment
-    #: reduce, keeping commit memory bounded by the netlist's CSR arrays.
+    #: instances route committed swaps through the vectorised
+    #: :meth:`recompute_nets`, keeping commit memory bounded by the
+    #: netlist's CSR arrays and per-degree member matrices.
     SCALAR_COMMIT_MAX_PINS = 1 << 20
 
     #: Shared-net detection modes already announced via the module logger —
@@ -305,10 +328,10 @@ class WirelengthState:
             self._x_max,
             self._y_min,
             self._y_max,
-            self._n_x_min,
-            self._n_x_max,
-            self._n_y_min,
-            self._n_y_max,
+            self._x_min2,
+            self._x_max2,
+            self._y_min2,
+            self._y_max2,
         ) = net_bboxes(self._placement)
         self._per_net = (self._x_max - self._x_min) + (self._y_max - self._y_min)
         weights = self._netlist.net_weights
@@ -345,12 +368,12 @@ class WirelengthState:
             )
         hosts = (
             self._x_min, self._x_max, self._y_min, self._y_max,
-            self._n_x_min, self._n_x_max, self._n_y_min, self._n_y_max,
+            self._x_min2, self._x_max2, self._y_min2, self._y_max2,
             self._per_net,
         )
         names = (
             "x_min", "x_max", "y_min", "y_max",
-            "n_x_min", "n_x_max", "n_y_min", "n_y_max",
+            "x_min2", "x_max2", "y_min2", "y_max2",
             "per_net",
         )
         if nets is None or self._dev_bbox is None:
@@ -379,8 +402,8 @@ class WirelengthState:
                 csr_keys=csr_keys_d,
                 x_min=bbox["x_min"], x_max=bbox["x_max"],
                 y_min=bbox["y_min"], y_max=bbox["y_max"],
-                n_x_min=bbox["n_x_min"], n_x_max=bbox["n_x_max"],
-                n_y_min=bbox["n_y_min"], n_y_max=bbox["n_y_max"],
+                x_min2=bbox["x_min2"], x_max2=bbox["x_max2"],
+                y_min2=bbox["y_min2"], y_max2=bbox["y_max2"],
                 per_net=bbox["per_net"],
                 net_weights=weights_d,
             )
@@ -390,8 +413,8 @@ class WirelengthState:
             csr_keys=self._csr_keys,
             x_min=self._x_min, x_max=self._x_max,
             y_min=self._y_min, y_max=self._y_max,
-            n_x_min=self._n_x_min, n_x_max=self._n_x_max,
-            n_y_min=self._n_y_min, n_y_max=self._n_y_max,
+            x_min2=self._x_min2, x_max2=self._x_max2,
+            y_min2=self._y_min2, y_max2=self._y_max2,
             per_net=self._per_net,
             net_weights=self._netlist.net_weights,
         )
@@ -408,25 +431,25 @@ class WirelengthState:
             self._x_max.copy(),
             self._y_min.copy(),
             self._y_max.copy(),
-            self._n_x_min.copy(),
-            self._n_x_max.copy(),
-            self._n_y_min.copy(),
-            self._n_y_max.copy(),
+            self._x_min2.copy(),
+            self._x_max2.copy(),
+            self._y_min2.copy(),
+            self._y_max2.copy(),
         )
 
     def restore_state(self, state: tuple) -> None:
         """Restore a cache snapshot (the placement must be restored separately)."""
-        (per_net, total, x_min, x_max, y_min, y_max, n_x_min, n_x_max, n_y_min, n_y_max) = state
+        (per_net, total, x_min, x_max, y_min, y_max, x_min2, x_max2, y_min2, y_max2) = state
         self._per_net = per_net.copy()
         self._total = total
         self._x_min = x_min.copy()
         self._x_max = x_max.copy()
         self._y_min = y_min.copy()
         self._y_max = y_max.copy()
-        self._n_x_min = n_x_min.copy()
-        self._n_x_max = n_x_max.copy()
-        self._n_y_min = n_y_min.copy()
-        self._n_y_max = n_y_max.copy()
+        self._x_min2 = x_min2.copy()
+        self._x_max2 = x_max2.copy()
+        self._y_min2 = y_min2.copy()
+        self._y_max2 = y_max2.copy()
         if self._xb.is_cuda:  # pragma: no cover - cupy only
             self._device_sync()
 
@@ -443,56 +466,47 @@ class WirelengthState:
         computed with vectorised NumPy:
 
         1. expand both endpoints of every pair to flat ``(pair, net)`` items
-           via the CSR cell→net incidence;
+           via the CSR cell→net incidence (all ``a`` items, then all ``b``
+           items);
         2. drop items of nets containing *both* endpoints (a swap permutes
            their pins, so their bbox is unchanged) — one dense incidence
            gather when the matrix fits :attr:`INCIDENCE_BUDGET`, otherwise a
            binary search of the sorted CSR incidence keys (no per-pair
            ``union1d``, no O(cells x nets) memory);
-        3. update each item's bbox edge in O(1) using the cached edge
-           multiplicities;
-        4. re-reduce only the items where the moved pin was the sole support
-           of an edge it leaves (a single ``reduceat`` over those segments).
+        3. update each item's bbox edges in O(1): an edge the moved pin
+           leaves falls back to its cached second order statistic, then
+           takes the pin's new coordinate into account;
+        4. fold the weighted per-item deltas per pair with ``bincount``.
 
-        Step 1 (the CSR expansion) runs on the host; steps 2–4 are
+        Step 1 runs on the host; steps 2–4 are
         :func:`repro.accel.kernels.hpwl_batch_deltas`, the xp-generic kernel
-        shared with the cuda backend.  Under NumPy it executes the identical
-        operations in the identical order as the direct kernel it replaced
-        (pinned bit-identical against :func:`deltas_for_swaps_reference`);
-        the segment-reduce fallback of step 4 always reduces on the host
-        (cupy has no ``reduceat``) — it is rare by construction.
+        shared with the cuda backend.  New edges are selected coordinates,
+        never sums, so the result is bit-identical to the multiplicity and
+        segment-reduce algorithm of :func:`deltas_for_swaps_reference`.
         """
         a = np.atleast_1d(np.asarray(cells_a, dtype=np.int64))
         b = np.atleast_1d(np.asarray(cells_b, dtype=np.int64))
         if a.shape != b.shape:
             raise ValueError(f"cells_a and cells_b must match, got {a.shape} vs {b.shape}")
         num_pairs = int(a.size)
-        out = np.zeros(num_pairs, dtype=np.float64)
         if num_pairs == 0 or self._netlist.num_nets == 0:
-            return out
-
-        netlist = self._netlist
-        cts = self._placement.cell_to_slot
-        slot_x = self._layout.slot_x
-        slot_y = self._layout.slot_y
-        ax = slot_x[cts[a]]
-        ay = slot_y[cts[a]]
-        bx = slot_x[cts[b]]
-        by = slot_y[cts[b]]
+            return np.zeros(num_pairs, dtype=np.float64)
 
         # --- step 1: flat (pair, net) items for both endpoints ------------- #
-        nets_a, deg_a = netlist.nets_of_cells_flat(a)
-        nets_b, deg_b = netlist.nets_of_cells_flat(b)
-        pair_ids = np.arange(num_pairs, dtype=np.int64)
-        pair = np.concatenate([np.repeat(pair_ids, deg_a), np.repeat(pair_ids, deg_b)])
-        net = np.concatenate([nets_a, nets_b])
-        moved = np.concatenate([np.repeat(a, deg_a), np.repeat(b, deg_b)])
-        from_x = np.concatenate([np.repeat(ax, deg_a), np.repeat(bx, deg_b)])
-        from_y = np.concatenate([np.repeat(ay, deg_a), np.repeat(by, deg_b)])
-        to_x = np.concatenate([np.repeat(bx, deg_a), np.repeat(ax, deg_b)])
-        to_y = np.concatenate([np.repeat(by, deg_a), np.repeat(ay, deg_b)])
+        # Endpoint e < num_pairs is a_e, endpoint num_pairs + e is b_e; one
+        # CSR expansion of both halves and one repeat of the endpoint index
+        # turn every per-endpoint quantity into a per-item gather.
+        ends = np.concatenate([a, b])
+        partners = np.concatenate([b, a])
+        slots = self._placement.cell_to_slot[ends]
+        end_x = self._layout.slot_x[slots]
+        end_y = self._layout.slot_y[slots]
+        net, degrees = self._netlist.nets_of_cells_flat(ends)
         if net.size == 0:
-            return out
+            return np.zeros(num_pairs, dtype=np.float64)
+        item = np.repeat(np.arange(2 * num_pairs, dtype=np.int64), degrees)
+        pair = item % num_pairs
+        partner = (item + num_pairs) % (2 * num_pairs)
 
         # --- steps 2-4: the xp-generic batch kernel ------------------------ #
         # An item is inactive when the pair is a self-swap or when the swap
@@ -500,29 +514,21 @@ class WirelengthState:
         # Inactive items are *not* filtered out — they flow through the O(1)
         # edge updates (where a self-swap's from == to makes the delta vanish
         # naturally) and are zeroed in the final per-item reduction, which is
-        # far cheaper than re-gathering seven arrays through a boolean mask
-        # and needs no sort to find the duplicates.
-        active = (a != b)[pair]
-        other = np.concatenate([np.repeat(b, deg_a), np.repeat(a, deg_b)])
+        # far cheaper than re-gathering the item arrays through a boolean
+        # mask and needs no sort to find the duplicates.
         return accel.hpwl_batch_deltas(
             self._xb,
             self._hpwl_arrays(),
             num_pairs=num_pairs,
             pair=pair,
             net=net,
-            other=other,
-            moved=moved,
-            from_x=from_x,
-            from_y=from_y,
-            to_x=to_x,
-            to_y=to_y,
-            active=active,
-            cts=cts,
-            slot_x=slot_x,
-            slot_y=slot_y,
-            gather_members=netlist.net_members_of,
+            other=partners[item],
+            from_x=end_x[item],
+            from_y=end_y[item],
+            to_x=end_x[partner],
+            to_y=end_y[partner],
+            active=(a != b)[pair],
             shared_mask_cpu=_kernels.shared_net_mask,
-            bbox_reduce_cpu=_kernels.fallback_bbox_reduce,
         )
 
     def delta_for_swap(self, cell_a: int, cell_b: int) -> float:
@@ -554,10 +560,10 @@ class WirelengthState:
         """Update the cache after ``placement.swap_cells(cell_a, cell_b)``.
 
         The placement must already reflect the swap.  Each affected net's
-        bbox, edge multiplicities and HPWL are recomputed *in place* with a
-        scalar scan over its (few) member pins — the nets of the paper
+        bbox, second edge statistics and HPWL are recomputed *in place* with
+        a scalar scan over its (few) member pins — the nets of the paper
         circuits average ~3 pins, where one Python pass beats the dispatch
-        overhead of a vectorised segment reduce several times over.  Nets
+        overhead of a vectorised recompute several times over.  Nets
         containing both cells are skipped: the swap permutes their pins.
         Instances beyond :attr:`SCALAR_COMMIT_MAX_PINS` never build the
         boxed list caches; their commits go through the vectorised
@@ -589,38 +595,38 @@ class WirelengthState:
         weights = _weights
         per_net = self._per_net
         total_delta = 0.0
+        inf = np.inf
         for net in affected:
             members = members_list[net]
             slot = cts[members[0]]
-            x = sx[slot]
-            y = sy[slot]
-            x_min = x_max = x
-            y_min = y_max = y
-            n_x_min = n_x_max = n_y_min = n_y_max = 1
+            x_min = x_max = sx[slot]
+            y_min = y_max = sy[slot]
+            x_min2 = y_min2 = inf
+            x_max2 = y_max2 = -inf
             for m in members[1:]:
                 slot = cts[m]
                 x = sx[slot]
                 y = sy[slot]
                 if x < x_min:
+                    x_min2 = x_min
                     x_min = x
-                    n_x_min = 1
-                elif x == x_min:
-                    n_x_min += 1
+                elif x < x_min2:
+                    x_min2 = x
                 if x > x_max:
+                    x_max2 = x_max
                     x_max = x
-                    n_x_max = 1
-                elif x == x_max:
-                    n_x_max += 1
+                elif x > x_max2:
+                    x_max2 = x
                 if y < y_min:
+                    y_min2 = y_min
                     y_min = y
-                    n_y_min = 1
-                elif y == y_min:
-                    n_y_min += 1
+                elif y < y_min2:
+                    y_min2 = y
                 if y > y_max:
+                    y_max2 = y_max
                     y_max = y
-                    n_y_max = 1
-                elif y == y_max:
-                    n_y_max += 1
+                elif y > y_max2:
+                    y_max2 = y
             new_hpwl = (x_max - x_min) + (y_max - y_min)
             total_delta += weights[net] * (new_hpwl - per_net[net])
             per_net[net] = new_hpwl
@@ -628,10 +634,10 @@ class WirelengthState:
             self._x_max[net] = x_max
             self._y_min[net] = y_min
             self._y_max[net] = y_max
-            self._n_x_min[net] = n_x_min
-            self._n_x_max[net] = n_x_max
-            self._n_y_min[net] = n_y_min
-            self._n_y_max[net] = n_y_max
+            self._x_min2[net] = x_min2
+            self._x_max2[net] = x_max2
+            self._y_min2[net] = y_min2
+            self._y_max2[net] = y_max2
         self._total += float(total_delta)
         if self._xb.is_cuda:  # pragma: no cover - cupy only
             self._device_sync(np.asarray(affected, dtype=np.int64))
@@ -639,9 +645,10 @@ class WirelengthState:
     def recompute_cells(self, cells: np.ndarray) -> None:
         """Refresh every net touching any of ``cells`` from the placement.
 
-        One vectorised segment reduce over the union of incident nets — the
-        bulk path :meth:`~repro.placement.cost.CostEvaluator.apply_swaps` uses
-        when committing a whole received swap sequence at once.
+        One vectorised :meth:`recompute_nets` over the union of incident
+        nets — the bulk path :meth:`~repro.placement.cost.CostEvaluator.
+        apply_swaps` uses when committing a whole received swap sequence at
+        once.
         """
         cells = np.asarray(cells, dtype=np.int64)
         if cells.size == 0:
@@ -649,23 +656,24 @@ class WirelengthState:
         nets, _counts = self._netlist.nets_of_cells_flat(cells)
         self.recompute_nets(np.unique(nets))
 
-    def verify_consistency(self, *, atol: float = 1e-6) -> None:
-        """Check the bbox/multiplicity caches against a fresh recompute.
+    def verify_consistency(self) -> None:
+        """Check the bbox caches against a fresh recompute.
 
-        The totals alone cannot reveal a stale edge multiplicity (it only
-        changes which fast/fallback branch a future trial takes), so this
-        compares every cached array.  Raises ``ValueError`` on divergence.
+        The totals alone cannot reveal a stale second edge statistic (it
+        only matters once a future trial moves a pin off that edge), so this
+        compares every cached array.  They hold selected coordinates, so the
+        comparison is exact.  Raises ``ValueError`` on divergence.
         """
         fresh = net_bboxes(self._placement)
         cached = (
             self._x_min, self._x_max, self._y_min, self._y_max,
-            self._n_x_min, self._n_x_max, self._n_y_min, self._n_y_max,
+            self._x_min2, self._x_max2, self._y_min2, self._y_max2,
         )
         names = ("x_min", "x_max", "y_min", "y_max",
-                 "n_x_min", "n_x_max", "n_y_min", "n_y_max")
+                 "x_min2", "x_max2", "y_min2", "y_max2")
         for name, have, want in zip(names, cached, fresh):
-            if not np.allclose(have, want, atol=atol):
-                bad = int(np.flatnonzero(~np.isclose(have, want, atol=atol))[0])
+            if not np.array_equal(have, want):
+                bad = int(np.flatnonzero(have != want)[0])
                 raise ValueError(
                     f"wirelength bbox cache drift in {name} at net {bad}: "
                     f"cached={have[bad]}, exact={want[bad]}"
@@ -674,14 +682,14 @@ class WirelengthState:
     def recompute_nets(self, nets: Iterable[int]) -> None:
         """Refresh specific nets from the placement's current state.
 
-        One vectorised segment reduce over all affected nets — committed swaps
-        are rare relative to trials, so exact bbox + multiplicity recomputation
-        here keeps the fast trial path simple.
+        One vectorised :func:`net_bboxes` pass over all affected nets —
+        committed swaps are rare relative to trials, so exact bbox and
+        second-statistic recomputation here keeps the fast trial path simple.
         """
         nets = np.unique(np.asarray(tuple(nets) if not isinstance(nets, np.ndarray) else nets, dtype=np.int64))
         if nets.size == 0:
             return
-        x_min, x_max, y_min, y_max, n_x_min, n_x_max, n_y_min, n_y_max = net_bboxes(
+        x_min, x_max, y_min, y_max, x_min2, x_max2, y_min2, y_max2 = net_bboxes(
             self._placement, nets
         )
         new_per = (x_max - x_min) + (y_max - y_min)
@@ -692,10 +700,10 @@ class WirelengthState:
         self._x_max[nets] = x_max
         self._y_min[nets] = y_min
         self._y_max[nets] = y_max
-        self._n_x_min[nets] = n_x_min
-        self._n_x_max[nets] = n_x_max
-        self._n_y_min[nets] = n_y_min
-        self._n_y_max[nets] = n_y_max
+        self._x_min2[nets] = x_min2
+        self._x_max2[nets] = x_max2
+        self._y_min2[nets] = y_min2
+        self._y_max2[nets] = y_max2
         if self._xb.is_cuda:  # pragma: no cover - cupy only
             self._device_sync(nets)
 
@@ -703,16 +711,99 @@ class WirelengthState:
 # ---------------------------------------------------------------------- #
 # frozen reference kernel
 # ---------------------------------------------------------------------- #
-def deltas_for_swaps_reference(
-    state: WirelengthState, cells_a, cells_b
-) -> np.ndarray:
-    """The pre-dispatch direct NumPy HPWL batch kernel, frozen verbatim.
+def reference_bboxes(placement: Placement) -> Tuple[np.ndarray, ...]:
+    """Per-net bboxes, edge multiplicities and HPWL, from the placement alone.
 
-    The kernel body :meth:`WirelengthState.deltas_for_swaps` shipped before
-    the accel layer existed, kept as the bit-identity oracle for the
-    backend-parameterised contract battery and as the dispatch-tax baseline
-    of ``benchmarks/bench_gpu_kernels.py``.  Reads the state's host-side
-    caches directly and never touches the accel layer.
+    The inputs of :func:`deltas_for_swaps_reference`: ``x_min, x_max,
+    y_min, y_max``, the number of pins on each of those edges and the
+    unweighted per-net HPWL, all recomputed from ``placement`` with segment
+    reduces.  Nothing is read from a :class:`WirelengthState`'s caches.
+    """
+    netlist = placement.netlist
+    layout = placement.layout
+    counts = netlist.net_degrees
+    slots = placement.cell_to_slot[netlist.flat_members]
+    xs = layout.slot_x[slots]
+    ys = layout.slot_y[slots]
+    starts = netlist.net_ptr[:-1]
+    x_min = np.minimum.reduceat(xs, starts)
+    x_max = np.maximum.reduceat(xs, starts)
+    y_min = np.minimum.reduceat(ys, starts)
+    y_max = np.maximum.reduceat(ys, starts)
+    n_x_min = np.add.reduceat((xs == np.repeat(x_min, counts)).astype(np.int64), starts)
+    n_x_max = np.add.reduceat((xs == np.repeat(x_max, counts)).astype(np.int64), starts)
+    n_y_min = np.add.reduceat((ys == np.repeat(y_min, counts)).astype(np.int64), starts)
+    n_y_max = np.add.reduceat((ys == np.repeat(y_max, counts)).astype(np.int64), starts)
+    per_net = (x_max - x_min) + (y_max - y_min)
+    return x_min, x_max, y_min, y_max, n_x_min, n_x_max, n_y_min, n_y_max, per_net
+
+
+def fallback_bbox_reduce(
+    members: np.ndarray,
+    counts: np.ndarray,
+    moved: np.ndarray,
+    to_x: np.ndarray,
+    to_y: np.ndarray,
+    cts: np.ndarray,
+    slot_x: np.ndarray,
+    slot_y: np.ndarray,
+):
+    """Exact bboxes of segments with one pin hypothetically moved.
+
+    For each segment ``s`` (one net of one trial swap), scan its ``counts[s]``
+    members with the moved pin at ``(to_x[s], to_y[s])`` and every other pin
+    at its placed coordinate; returns the four bbox edge arrays.  Masked
+    substitution plus four ``reduceat`` passes.
+    """
+    moved_rep = np.repeat(moved, counts)
+    mx = np.where(members == moved_rep, np.repeat(to_x, counts), slot_x[cts[members]])
+    my = np.where(members == moved_rep, np.repeat(to_y, counts), slot_y[cts[members]])
+    starts = np.zeros(counts.size, dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    return (
+        np.minimum.reduceat(mx, starts),
+        np.maximum.reduceat(mx, starts),
+        np.minimum.reduceat(my, starts),
+        np.maximum.reduceat(my, starts),
+    )
+
+
+def _shrink_min(cur: np.ndarray, support: np.ndarray, frm: np.ndarray, to: np.ndarray):
+    """Fast-path new minimum after one pin moves ``frm → to``.
+
+    Returns ``(new_min, needs_fallback)``.  The fast path is exact except when
+    the moving pin was the *only* support of the current minimum and it lands
+    strictly inside the box — then the true new minimum lies somewhere among
+    the remaining pins and a segment reduce is required.
+    """
+    new = np.minimum(cur, to)
+    fallback = (frm == cur) & (support <= 1) & (to > cur)
+    return new, fallback
+
+
+def _shrink_max(cur: np.ndarray, support: np.ndarray, frm: np.ndarray, to: np.ndarray):
+    """Fast-path new maximum after one pin moves ``frm → to`` (see _shrink_min)."""
+    new = np.maximum(cur, to)
+    fallback = (frm == cur) & (support <= 1) & (to < cur)
+    return new, fallback
+
+
+def deltas_for_swaps_reference(
+    state: WirelengthState, cells_a, cells_b, bboxes: tuple | None = None
+) -> np.ndarray:
+    """The edge-multiplicity HPWL batch kernel, frozen as an oracle.
+
+    The algorithm :meth:`WirelengthState.deltas_for_swaps` used before the
+    second order statistics: O(1) edge updates from each edge's pin count,
+    and an exact segment reduce (:func:`fallback_bbox_reduce`) for every
+    item whose moved pin was the sole support of an edge it leaves.  It is
+    the bit-identity oracle of the backend-parameterised contract battery
+    and the baseline of ``benchmarks/bench_gpu_kernels.py``.
+
+    ``bboxes`` is :func:`reference_bboxes` of the state's placement,
+    recomputed when omitted: the oracle reads only the placement and the
+    static netlist structure, never the state's bbox caches, so a stale
+    cache shows up as a mismatch.
     """
     a = np.atleast_1d(np.asarray(cells_a, dtype=np.int64))
     b = np.atleast_1d(np.asarray(cells_b, dtype=np.int64))
@@ -723,6 +814,9 @@ def deltas_for_swaps_reference(
     netlist = state._netlist
     if num_pairs == 0 or netlist.num_nets == 0:
         return out
+    if bboxes is None:
+        bboxes = reference_bboxes(state._placement)
+    x_min, x_max, y_min, y_max, n_x_min, n_x_max, n_y_min, n_y_max, per_net = bboxes
 
     cts = state._placement.cell_to_slot
     slot_x = state._layout.slot_x
@@ -757,18 +851,18 @@ def deltas_for_swaps_reference(
     if not active.any():
         return out
 
-    # --- step 3: O(1) bbox-edge updates from the cache ----------------- #
-    new_x_min, fb_x_min = _shrink_min(state._x_min[net], state._n_x_min[net], from_x, to_x)
-    new_x_max, fb_x_max = _shrink_max(state._x_max[net], state._n_x_max[net], from_x, to_x)
-    new_y_min, fb_y_min = _shrink_min(state._y_min[net], state._n_y_min[net], from_y, to_y)
-    new_y_max, fb_y_max = _shrink_max(state._y_max[net], state._n_y_max[net], from_y, to_y)
+    # --- step 3: O(1) bbox-edge updates from the multiplicities -------- #
+    new_x_min, fb_x_min = _shrink_min(x_min[net], n_x_min[net], from_x, to_x)
+    new_x_max, fb_x_max = _shrink_max(x_max[net], n_x_max[net], from_x, to_x)
+    new_y_min, fb_y_min = _shrink_min(y_min[net], n_y_min[net], from_y, to_y)
+    new_y_max, fb_y_max = _shrink_max(y_max[net], n_y_max[net], from_y, to_y)
 
     # --- step 4: segment-reduce fallback for vacated edges ------------- #
     fallback = (fb_x_min | fb_x_max | fb_y_min | fb_y_max) & active
     if fallback.any():
         idx = np.flatnonzero(fallback)
         members, counts = netlist.net_members_of(net[idx])
-        fb_x_lo, fb_x_hi, fb_y_lo, fb_y_hi = _kernels.fallback_bbox_reduce(
+        fb_x_lo, fb_x_hi, fb_y_lo, fb_y_hi = fallback_bbox_reduce(
             members, counts, moved[idx], to_x[idx], to_y[idx], cts, slot_x, slot_y
         )
         new_x_min[idx] = fb_x_lo
@@ -777,7 +871,7 @@ def deltas_for_swaps_reference(
         new_y_max[idx] = fb_y_hi
 
     new_hpwl = (new_x_max - new_x_min) + (new_y_max - new_y_min)
-    per_item = netlist.net_weights[net] * (new_hpwl - state._per_net[net])
+    per_item = netlist.net_weights[net] * (new_hpwl - per_net[net])
     per_item *= active  # zero the contributions of masked items
     out[:] = np.bincount(pair, weights=per_item, minlength=num_pairs)
     return out

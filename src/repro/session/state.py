@@ -45,7 +45,9 @@ __all__ = [
 #: First bytes of every checkpoint artifact ("Repro Tabu Session State").
 MAGIC = b"RTSS"
 #: Bumped whenever the pickled payload layout changes incompatibly.
-SCHEMA_VERSION = 1
+#: Version 2: a placement evaluator's wirelength snapshot holds each bbox
+#: edge's second order statistic where version 1 held its pin count.
+SCHEMA_VERSION = 2
 
 _HEADER = struct.Struct("<4sI")
 

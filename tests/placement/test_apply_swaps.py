@@ -2,7 +2,7 @@
 
 PR 3 replaced three hot paths with incremental variants:
 
-* ``WirelengthState.commit_swap`` updates bboxes + edge multiplicities in
+* ``WirelengthState.commit_swap`` updates bboxes + second edge statistics in
   place (scalar pin scan) instead of re-reducing whole nets;
 * ``CostEvaluator.apply_swaps`` commits a whole swap sequence as one bulk
   cache update (the delta-install of the parallel protocol);
@@ -29,10 +29,10 @@ BBOX_FIELDS = (
     "_x_max",
     "_y_min",
     "_y_max",
-    "_n_x_min",
-    "_n_x_max",
-    "_n_y_min",
-    "_n_y_max",
+    "_x_min2",
+    "_x_max2",
+    "_y_min2",
+    "_y_max2",
 )
 
 

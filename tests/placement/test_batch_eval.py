@@ -7,7 +7,7 @@ The contract under test: for any batch of candidate pairs, the batched path
 ``full_area`` on a mutated copy) must all agree — including after arbitrary
 committed swap sequences, on bbox-edge cells, and on degenerate nets
 (minimum-degree two-pin nets and nets whose pins share coordinates, which
-exercise the edge-multiplicity bookkeeping).
+exercise the tie handling of the cached second edge statistics).
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ def build_degenerate_netlist():
     Mostly two-pin nets (every pin is on a bbox edge), one high-fanout net
     (many pins share bbox edges once placed in few rows), and a star where
     several sinks will often share a row/column coordinate — the cases where
-    the edge-multiplicity counts and the segment-reduce fallback matter.
+    a bbox edge's second order statistic equals the edge (ties) or is the
+    next pin in.
     """
     builder = NetlistBuilder("degenerate")
     builder.add_cell("pi0", kind=CellKind.PRIMARY_INPUT, delay=0.0)

@@ -1,8 +1,10 @@
 """Unit tests for the optional-JIT kernel module (:mod:`repro.placement._kernels`).
 
-The NumPy implementations are the reference semantics; the jitted variants
+The NumPy implementation is the reference semantics; the jitted variant
 (exercised only where numba is installed — the base environment does not
-ship it) must agree bit-for-bit.
+ship it) must agree bit-for-bit.  Also pins the segment reduce of the
+frozen wirelength oracle (:func:`repro.placement.wirelength.
+fallback_bbox_reduce`) against brute force.
 """
 
 from __future__ import annotations
@@ -14,12 +16,11 @@ from repro.placement import _kernels
 from repro.placement._kernels import (
     HAVE_NUMBA,
     _jit_requested,
-    fallback_bbox_reduce,
-    fallback_bbox_reduce_numpy,
     jit_enabled,
     shared_net_mask,
     shared_net_mask_numpy,
 )
+from repro.placement.wirelength import fallback_bbox_reduce
 
 
 class TestJitSelection:
@@ -106,14 +107,13 @@ class TestFallbackBboxReduce:
     def test_matches_brute_force(self, seed):
         case = _bbox_case(seed, num_segments=25)
         want = self._brute(*case)
-        for got in (fallback_bbox_reduce_numpy(*case), fallback_bbox_reduce(*case)):
-            for got_arr, want_arr in zip(got, want):
-                assert np.array_equal(got_arr, want_arr)
+        for got_arr, want_arr in zip(fallback_bbox_reduce(*case), want):
+            assert np.array_equal(got_arr, want_arr)
 
 
 @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
 class TestJitParity:
-    """Bit-parity of the jitted kernels against the NumPy reference."""
+    """Bit-parity of the jitted kernel against the NumPy reference."""
 
     def test_shared_net_mask_parity(self):
         rng = np.random.default_rng(11)
@@ -125,10 +125,3 @@ class TestJitParity:
             _kernels._shared_net_mask_jit(sorted_keys, queries),
             shared_net_mask_numpy(sorted_keys, queries),
         )
-
-    def test_fallback_bbox_parity(self):
-        case = _bbox_case(9, num_segments=200)
-        got = _kernels._fallback_bbox_reduce_jit(*case)
-        want = fallback_bbox_reduce_numpy(*case)
-        for got_arr, want_arr in zip(got, want):
-            assert np.array_equal(got_arr, want_arr)

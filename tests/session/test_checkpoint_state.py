@@ -80,6 +80,16 @@ class TestCodecValidation:
         with pytest.raises(SessionError, match="schema version"):
             SessionState.from_bytes(blob)
 
+    def test_rejects_version_1_checkpoint(self, paused_state):
+        """Version 1 stored bbox edge pin counts where version 2 stores
+        coordinates; an old artifact must never restore with one read as
+        the other."""
+        assert SCHEMA_VERSION == 2
+        payload = paused_state.to_bytes()[8:]
+        blob = struct.pack("<4sI", MAGIC, 1) + payload
+        with pytest.raises(SessionError, match="schema version 1"):
+            SessionState.from_bytes(blob)
+
     def test_load_rejects_non_checkpoint_file(self, tmp_path):
         target = tmp_path / "junk.rtss"
         target.write_bytes(pickle.dumps({"not": "a checkpoint"}))
