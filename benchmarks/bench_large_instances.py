@@ -33,6 +33,8 @@ tier actually runs and guards its scaling properties:
   serial + parallel) must finish under ``REPRO_LARGE_RSS_MB`` (default
   1500 MB) of peak RSS per ``resource.getrusage`` — the dense fallbacks it
   replaced could not;
+* **STA** (informational, no bar) — the big10k ``TimingGraph`` build and a
+  warm analyzer's one-swap ``analyze`` against a cold full analysis;
 * **end-to-end parallel** — a short 4-TSW ``processes``-backend run on both
   big10k and rand256 (informational timing: CI runners differ in core
   count; the point is that the full parallel stack works at scale).
@@ -73,8 +75,11 @@ from repro import (
 from repro.core import get_domain
 from repro.parallel import build_problem
 from repro.placement import Layout, random_placement
+from repro.placement.timing import TimingAnalyzer, TimingGraph
 from repro.placement.wirelength import WirelengthState
 from repro.tabu.tabu_list import ARRAY_TABU_MAX_CELLS
+
+from _utils import bench_env
 
 PAIRS_PER_STEP = 256
 MOVE_DEPTH = 6
@@ -166,6 +171,43 @@ def _csr_dense_kernel_ratio() -> dict:
         "dense_batch_ms": dense_ms,
         "csr_batch_ms": csr_ms,
         "csr_over_dense_ratio": csr_ms / dense_ms,
+    }
+
+
+def _timing_analysis() -> dict:
+    """big10k STA, informational: graph build, warm one-swap vs cold analysis.
+
+    The graph build is timed on a netlist whose graph is already cached (a
+    direct ``TimingGraph(netlist)``), best of five.  The warm analyzer
+    re-times one random swap per call; the cold figure is the first call
+    of a fresh analyzer (a full analysis), both the median of 40 calls.
+    """
+    netlist = load_benchmark("big10k")
+    placement = random_placement(Layout(netlist), seed=SEED)
+    TimingGraph.of(netlist)
+    builds = []
+    for _ in range(5):
+        start = time.perf_counter()
+        TimingGraph(netlist)
+        builds.append(time.perf_counter() - start)
+    rng = np.random.default_rng(11)
+    warm = TimingAnalyzer(netlist)
+    warm.analyze(placement)
+    warm_s, cold_s = [], []
+    for cell_a, cell_b in rng.integers(0, netlist.num_cells, size=(40, 2)).tolist():
+        placement.swap_cells(cell_a, cell_b)
+        start = time.perf_counter()
+        warm.analyze(placement)
+        warm_s.append(time.perf_counter() - start)
+        cold = TimingAnalyzer(netlist)
+        start = time.perf_counter()
+        cold.analyze(placement)
+        cold_s.append(time.perf_counter() - start)
+    return {
+        "graph_build_ms": min(builds) * 1e3,
+        "one_swap_analyze_us": float(np.median(warm_s)) * 1e6,
+        "cold_analyze_us": float(np.median(cold_s)) * 1e6,
+        "one_swap_over_cold_ratio": float(np.median(warm_s) / np.median(cold_s)),
     }
 
 
@@ -277,6 +319,7 @@ def measure() -> dict:
     }
 
     results["evaluator_reuse"] = _evaluator_reuse(placement_problems["big10k"])
+    results["timing"] = _timing_analysis()
     results["kernel"] = _csr_dense_kernel_ratio()
     results["qap"] = _qap_batch_leverage(qap_problem)
 
@@ -322,6 +365,7 @@ def main() -> int:
         min(attempts, key=lambda r: r["scaling"]["sublinear_factor"]),
     )
     payload = {
+        "env": bench_env(),
         "bar": {
             "csr_over_dense_ratio_max": CSR_RATIO_BAR,
             "sublinear_factor_max": SUBLINEAR_BAR,
@@ -364,6 +408,12 @@ def main() -> int:
         f"big10k make_evaluator: first {reuse['first_ms']:.1f} ms, repeat "
         f"{reuse['repeat_ms']:.1f} ms -> {reuse['repeat_over_first_ratio']:.3f}x "
         f"(bar {REPEAT_EVALUATOR_BAR:.1f}x)"
+    )
+    sta = best["timing"]
+    print(
+        f"big10k STA: graph build {sta['graph_build_ms']:.1f} ms; one-swap analyze "
+        f"{sta['one_swap_analyze_us']:.0f} us vs cold {sta['cold_analyze_us']:.0f} us "
+        f"({sta['one_swap_over_cold_ratio']:.2f}x, informational)"
     )
     for row in best["parallel"]:
         print(

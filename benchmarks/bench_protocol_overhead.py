@@ -11,7 +11,8 @@ shipping); this benchmark measures the result and guards it:
 * **wire bytes** — pickled size of every solution-bearing message in full
   and delta form, plus the byte accounting of a whole simulated run;
 * **kernel latencies** — ``commit_swap``, delta adoption via
-  ``apply_swaps``, full ``install_solution`` and the exact STA;
+  ``apply_swaps``, full ``install_solution``, the exact STA of an unchanged
+  placement (warm: nothing moved) and of an unrelated one (a full analysis);
 * **path cost** — wall-clock milliseconds one parallel search path spends
   per local iteration (serial ms/iter is the lower bound; the gap is the
   protocol overhead).  Two parallel runs of different lengths give a
@@ -19,7 +20,8 @@ shipping); this benchmark measures the result and guards it:
   out.
 
 Results land in ``BENCH_protocol.json`` (override with the
-``BENCH_PROTOCOL_JSON`` env var); CI uploads the file per run.  Enforced
+``BENCH_PROTOCOL_JSON`` env var), with an ``env`` block (cores, NumPy
+version, git sha); the file is committed and CI uploads it per run.  Enforced
 bars (each overridable by env var, retried once against runner noise):
 
 * ``commit_swap``  <= 60 µs absolute, OR <= 0.08x the 256-pair batch
@@ -60,6 +62,8 @@ from repro import (
 from repro.parallel import build_problem
 from repro.parallel.delta import DeltaEncoder, swap_list_between
 from repro.parallel.messages import ClwTask, GlobalStart
+
+from _utils import bench_env
 
 CIRCUIT = "c532"
 SEED = 2003
@@ -180,10 +184,23 @@ def measure_kernel_latencies(problem) -> dict:
         evaluator.install_solution(other if current["flip"] else base)
 
     install_us = min(_time_us(install_full, 200, warmup=4) for _ in range(2))
+    # exact STA of an unchanged placement: the warm analyzer finds no move
     sta_us = min(
         _time_us(lambda: evaluator._timing.exact_delay(), 300, warmup=4)
         for _ in range(2)
     )
+    # exact STA of an unrelated placement each call: the full analysis a
+    # first contact or an install pays (informational, no bar)
+    analyzer = evaluator._timing.analyzer
+    placements = [evaluator.placement.copy(), evaluator.placement.copy()]
+    placements[1].set_assignment(other)
+    turn = {"i": 0}
+
+    def full_sta():
+        turn["i"] += 1
+        analyzer.analyze(placements[turn["i"] % 2])
+
+    full_sta_us = min(_time_us(full_sta, 300, warmup=4) for _ in range(2))
     return {
         "commit_swap_us": commit_us,
         "batch_eval_256_us": batch_us,
@@ -191,6 +208,7 @@ def measure_kernel_latencies(problem) -> dict:
         "delta_adopt_6_swaps_us": adopt_us,
         "install_solution_full_us": install_us,
         "exact_sta_us": sta_us,
+        "full_sta_us": full_sta_us,
     }
 
 
@@ -288,6 +306,7 @@ def run_benchmark() -> dict:
     problem = build_problem(netlist, params)
     iterations = int(os.environ.get("REPRO_PROTOCOL_ITERS", "300"))
     report = {
+        "env": bench_env(),
         "circuit": CIRCUIT,
         "wire_bytes": measure_wire_bytes(problem),
         "simulated_run": measure_simulated_run_bytes(netlist),

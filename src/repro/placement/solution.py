@@ -30,6 +30,15 @@ __all__ = ["Placement", "random_placement"]
 EMPTY_SLOT: int = -1
 
 
+def _has_duplicates(cell_to_slot: np.ndarray, num_slots: int) -> bool:
+    """Whether two cells share a slot (slots already range-checked).
+
+    A slot histogram is O(cells + slots); ``np.unique`` sorts, which costs
+    milliseconds per 10k-cell install.
+    """
+    return bool(np.bincount(cell_to_slot, minlength=num_slots).max(initial=0) > 1)
+
+
 class Placement:
     """Assignment of every cell to a distinct layout slot.
 
@@ -54,7 +63,7 @@ class Placement:
             )
         if cts.min(initial=0) < 0 or cts.max(initial=-1) >= layout.num_slots:
             raise PlacementError("cell_to_slot contains out-of-range slot indices")
-        if len(np.unique(cts)) != n_cells:
+        if _has_duplicates(cts, layout.num_slots):
             raise PlacementError("cell_to_slot assigns two cells to the same slot")
         self._cell_to_slot = cts
         stc = np.full(layout.num_slots, EMPTY_SLOT, dtype=np.int64)
@@ -163,7 +172,7 @@ class Placement:
             )
         if cts.min(initial=0) < 0 or cts.max(initial=-1) >= self._layout.num_slots:
             raise PlacementError("set_assignment: out-of-range slot indices")
-        if len(np.unique(cts)) != n_cells:
+        if _has_duplicates(cts, self._layout.num_slots):
             raise PlacementError("set_assignment: two cells share the same slot")
         self._cell_to_slot[:] = cts
         self._slot_to_cell[:] = EMPTY_SLOT

@@ -12,19 +12,25 @@ the usual way:
   endpoint (primary output or flip-flop data input), computed by propagating
   arrival times in topological order.
 
-A full STA is O(cells + connections) and is exact, but too expensive to run
-for every trial swap in the tabu-search inner loop.  :class:`TimingState`
-therefore caches the most recent critical path and scores candidate swaps by
-re-evaluating the cached path with the hypothetical positions — a standard
-path-based surrogate: exact for moves touching the cached path, optimistic
-otherwise.  The exact analysis is re-run when moves are committed (with a
-configurable refresh interval) so the surrogate never drifts far.
+An exact STA is O(cells + connections) from scratch, but between two calls
+of one :class:`TimingAnalyzer` only a few cells usually move (an adopted
+delta, every ``refresh_interval``-th commit), so the analyzer keeps the
+coordinates, edge delays and arrival times of its last call and re-prices
+only the connections of the moved cells, re-propagating arrivals only where
+they can change.  The result is bitwise equal to a cold analysis whatever
+the call history.  Even so it is too expensive for every trial swap of the
+tabu-search inner loop: :class:`TimingState` caches the most recent critical
+path and scores candidate swaps by re-evaluating the cached path with the
+hypothetical positions — a standard path-based surrogate: exact for moves
+touching the cached path, optimistic otherwise.  The exact analysis is re-run
+when moves are committed (with a configurable refresh interval) so the
+surrogate never drifts far.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,10 +38,17 @@ import numpy as np
 from ..errors import CostModelError
 from .cell import CellKind
 from ._shared import problem_static, read_only
-from .netlist import Netlist
+from .netlist import Netlist, csr_rows
 from .solution import Placement
 
 __all__ = ["TimingModel", "TimingResult", "TimingGraph", "TimingAnalyzer", "TimingState"]
+
+#: An analysis whose moved cells exceed this share of all cells re-prices
+#: and re-propagates everything, per regime (scalar, vectorised): past it
+#: the dirty-cell bookkeeping costs more than the full pass saves.  Measured
+#: crossovers: ~3% of c532's cells (the scalar loop's dirty cone covers
+#: nearly every cell by then), ~8–12% of big10k's.
+_FULL_ANALYSIS_MOVED_SHARE = {True: 0.03, False: 0.125}
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,15 +87,44 @@ class TimingResult:
         return len(self.critical_path)
 
 
-class TimingGraph:
-    """Placement-independent STA structure of one netlist.
+def _grouped(keys: np.ndarray, num_rows: int) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR row pointer of ``keys`` and the stable permutation grouping them."""
+    ptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=num_rows), out=ptr[1:])
+    return read_only(ptr), np.argsort(keys, kind="stable")
 
-    Fan-in tuples, the topological level schedule with its flat edge
-    arrays, the scalar propagation schedule and the endpoint CSR depend on
-    the connectivity alone.  They are built once per netlist per process
-    (:meth:`TimingGraph.of`) and shared read-only by every
-    :class:`TimingAnalyzer` of that netlist; nothing here references the
-    netlist itself, so the shared graph never keeps its netlist alive.
+
+class TimingGraph:
+    """Placement-independent STA structure of one netlist, as flat int arrays.
+
+    Cells are numbered twice: by cell index, and by *topological position*
+    (``order``/``rank``), which sorts them by level, then index.  A cell's
+    level is its longest propagating-path depth from a cell without fan-in
+    (start points: primary inputs and flip-flops, whose fan-in ends paths).
+
+    * **Edges** (``edge_src``/``edge_dst``) are the propagating driver→sink
+      connections sorted by the sink's position, each sink's fan-in in
+      netlist order.  A cell's in-edges are therefore one range
+      ``in_ptr[rank[c]]:in_ptr[rank[c] + 1]`` and one level's edges are one
+      contiguous block (``level_ptr`` bounds its positions, ``in_ptr`` of
+      those its edges), so the vectorised STA runs one segmented max per
+      level over views.
+    * **Endpoint entries** (``end_flat``/``ends_rep``) are the data arrivals
+      at primary outputs and flip-flop D inputs: endpoints in index order,
+      each endpoint's fan-in in netlist order, so first-maximum tie-breaking
+      matches the reference STA.
+    * **Incidence CSRs** ``inc_ptr``/``inc_edges`` (edges) and
+      ``ent_ptr``/``ent_ids`` (endpoint entries) list what touches each
+      cell, as driver or sink: the connections a moved cell re-prices.
+
+    The arrays are built with NumPy (a layered Kahn peeling: layer ``k`` is
+    the set of cells whose last predecessor left in layer ``k - 1``) once per
+    netlist per process (:meth:`TimingGraph.of`) and shared read-only by
+    every :class:`TimingAnalyzer` of that netlist.  Small graphs (the scalar
+    regime, :attr:`use_scalar_propagation`) also get per-cell Python tuples
+    for the scalar propagation loop, built on their first use.  Nothing here
+    references the netlist itself, so the shared graph never keeps its
+    netlist alive.
     """
 
     @classmethod
@@ -98,135 +140,169 @@ class TimingGraph:
     def __init__(self, netlist: Netlist) -> None:
         n = netlist.num_cells
         self.num_cells = n
-        kinds = [cell.kind for cell in netlist.cells]
-        self.is_start = read_only(np.array([k.is_timing_start for k in kinds], dtype=bool))
-        self.is_end = read_only(np.array([k.is_timing_end for k in kinds], dtype=bool))
-        self.is_seq = read_only(np.array([k is CellKind.SEQUENTIAL for k in kinds], dtype=bool))
+        kinds = np.fromiter(map(attrgetter("kind"), netlist.cells), dtype=object, count=n)
+        self.is_seq = read_only(kinds == CellKind.SEQUENTIAL)
+        self.is_start = read_only((kinds == CellKind.PRIMARY_INPUT) | self.is_seq)
+        self.is_end = read_only((kinds == CellKind.PRIMARY_OUTPUT) | self.is_seq)
+        self.delays = read_only(np.array(netlist.cell_delays, dtype=np.float64))
 
-        # Propagating fan-in: for every cell, the drivers whose arrival feeds
-        # its own arrival.  Sequential cells do not propagate their fan-in
-        # (paths end at their D input); their own arrival is just clk-to-Q.
-        self.prop_fanin = tuple(
-            () if self.is_start[c] else netlist.fanin(c) for c in range(n)
-        )
-        # Endpoint fan-in: data inputs of sequential cells and primary outputs.
-        # (For primary outputs this is the same as the propagating fan-in.)
-        end_fanin = tuple(
-            netlist.fanin(c) if self.is_end[c] else () for c in range(n)
-        )
+        # Every driver→sink connection, net by net and sinks in net order:
+        # grouped by sink (stably), this is each cell's netlist fan-in.
+        net_ptr = netlist.net_ptr
+        members = netlist.flat_members
+        degrees = np.diff(net_ptr)
+        is_sink_pin = np.ones(members.size, dtype=bool)
+        is_sink_pin[net_ptr[:-1][degrees > 0]] = False
+        drivers = members[np.repeat(net_ptr[:-1], degrees)][is_sink_pin]
+        sinks = members[is_sink_pin]
 
-        # Kahn topological sort over propagating edges.
-        indegree = np.array([len(f) for f in self.prop_fanin], dtype=np.int64)
-        consumers: List[List[int]] = [[] for _ in range(n)]
-        for c in range(n):
-            for d in self.prop_fanin[c]:
-                consumers[d].append(c)
-        queue = deque(int(c) for c in np.flatnonzero(indegree == 0))
-        order: List[int] = []
+        # Propagating edges: a start point's fan-in ends paths instead.
+        propagates = ~self.is_start[sinks]
+        by_sink = np.argsort(sinks[propagates], kind="stable")
+        src = drivers[propagates][by_sink]
+        dst = sinks[propagates][by_sink]
+        indegree = np.bincount(dst, minlength=n)
+        out_ptr, by_src = _grouped(src, n)
+        out_dst = dst[by_src]
+        level = np.full(n, -1, dtype=np.int64)
         remaining = indegree.copy()
-        while queue:
-            c = queue.popleft()
-            order.append(c)
-            for consumer in consumers[c]:
-                remaining[consumer] -= 1
-                if remaining[consumer] == 0:
-                    queue.append(consumer)
-        if len(order) != n:
+        ready = remaining == 0
+        frontier = np.flatnonzero(ready)
+        depth = 0
+        while frontier.size:
+            level[frontier] = depth
+            ready[frontier] = False
+            targets, _counts = csr_rows(out_dst, out_ptr, frontier)
+            np.subtract.at(remaining, targets, 1)
+            ready[targets[remaining[targets] == 0]] = True
+            frontier = np.flatnonzero(ready)
+            depth += 1
+        if np.any(level < 0):
             raise CostModelError(
                 f"netlist {netlist.name!r}: combinational cycle detected; "
                 "static timing analysis requires an acyclic combinational graph"
             )
-        self.delays = read_only(np.array(netlist.cell_delays))
-        self._build_level_schedule(order, end_fanin)
+        self.level = read_only(level)
+        order = np.argsort(level, kind="stable")
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n, dtype=np.int64)
+        self.order = read_only(order)
+        self.rank = read_only(rank)
+        self.delays_topo = read_only(self.delays[order])
+        self.level_ptr = read_only(np.concatenate((
+            np.zeros(1, dtype=np.int64), np.cumsum(np.bincount(level, minlength=depth)),
+        )))
 
-    def _build_level_schedule(self, order: List[int], end_fanin: tuple) -> None:
-        """Group cells into topological *levels* for the vectorised STA.
+        by_position = np.argsort(rank[dst], kind="stable")
+        self.edge_src = read_only(src[by_position])
+        self.edge_dst = read_only(dst[by_position])
+        self.edge_src_rank = read_only(rank[self.edge_src])
+        in_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(indegree[order], out=in_ptr[1:])
+        self.in_ptr = read_only(in_ptr)
+        # each position's first in-edge relative to its level's first edge:
+        # the segment starts of the level's maximum.reduceat
+        level_edge_start = in_ptr[self.level_ptr[:-1]]
+        self.seg_start = read_only(
+            in_ptr[:-1] - np.repeat(level_edge_start, np.diff(self.level_ptr))
+        )
+        # per level >= 1 (level 0 has no fan-in): its edges, its cells, and
+        # views of the level's source positions, segment starts and delays
+        level_bounds = self.level_ptr.tolist()
+        edge_bounds = level_edge_start.tolist() + [int(in_ptr[-1])]
+        self.level_blocks = tuple(
+            (
+                slice(edge_bounds[lvl], edge_bounds[lvl + 1]),
+                slice(level_bounds[lvl], level_bounds[lvl + 1]),
+                self.edge_src_rank[edge_bounds[lvl]:edge_bounds[lvl + 1]],
+                self.seg_start[level_bounds[lvl]:level_bounds[lvl + 1]],
+                self.delays_topo[level_bounds[lvl]:level_bounds[lvl + 1]],
+            )
+            for lvl in range(1, depth)
+        )
+        num_edges = self.edge_src.size
+        edge_ids = np.arange(num_edges, dtype=np.int64)
+        self.inc_ptr, by_cell = _grouped(np.concatenate((self.edge_src, self.edge_dst)), n)
+        self.inc_edges = read_only(np.concatenate((edge_ids, edge_ids))[by_cell])
 
-        All cells of one level depend only on strictly earlier levels, so a
-        whole level's arrival times can be computed with one segmented
-        gather/reduce instead of a Python loop over cells.
+        ends = self.is_end[sinks]
+        by_end = np.argsort(sinks[ends], kind="stable")
+        self.end_flat = read_only(drivers[ends][by_end])
+        self.ends_rep = read_only(sinks[ends][by_end])
+        entry_ids = np.arange(self.end_flat.size, dtype=np.int64)
+        self.ent_ptr, by_cell = _grouped(np.concatenate((self.end_flat, self.ends_rep)), n)
+        self.ent_ids = read_only(np.concatenate((entry_ids, entry_ids))[by_cell])
+
+        # crossover measured on the paper circuits: ~2k edges.  For them a
+        # tight Python loop over pre-vectorised edge delays beats per-level
+        # NumPy dispatch (tens of levels with a handful of cells each); big
+        # flat circuits flip the other way.
+        self.use_scalar_propagation = num_edges < 2048
+        self._scalar_tables: Optional[_ScalarTables] = None
+
+    @property
+    def num_levels(self) -> int:
+        """Number of topological levels (level 0: cells without fan-in)."""
+        return self.level_ptr.size - 1
+
+    def scalar_tables(self) -> "_ScalarTables":
+        """Per-cell Python tuples of the scalar propagation, built on first use.
+
+        Concurrent first calls may each build a copy; the copies are equal
+        and immutable, so whichever an analyzer gets is correct.
         """
-        n = self.num_cells
-        prop_fanin = self.prop_fanin
-        level = np.zeros(n, dtype=np.int64)
-        for c in order:
-            fanin = prop_fanin[c]
-            if fanin:
-                level[c] = 1 + max(int(level[d]) for d in fanin)
-        # One flat edge list over all levels: the geometric edge delays are
-        # arrival-independent, so one vectorised pass prices every edge up
-        # front and the sequential per-level work shrinks to a gather, an add
-        # and a segmented max.
-        schedule = []
-        max_level = int(level.max()) if n else 0
-        edge_cursor = 0
-        all_flat: List[np.ndarray] = []
-        all_rep: List[np.ndarray] = []
-        for lvl in range(1, max_level + 1):
-            cells = np.flatnonzero(level == lvl)
-            counts = np.array([len(prop_fanin[c]) for c in cells], dtype=np.int64)
-            flat = np.concatenate(
-                [np.asarray(prop_fanin[c], dtype=np.int64) for c in cells]
-            ) if cells.size else np.zeros(0, dtype=np.int64)
-            starts = np.zeros(cells.size, dtype=np.int64)
-            if cells.size:
-                np.cumsum(counts[:-1], out=starts[1:])
-            edge_slice = slice(edge_cursor, edge_cursor + flat.size)
-            edge_cursor += flat.size
-            all_flat.append(flat)
-            all_rep.append(np.repeat(cells, counts))
-            schedule.append((
-                read_only(cells), read_only(flat), read_only(starts),
-                read_only(self.delays[cells]), edge_slice,
-            ))
-        self.level_schedule = tuple(schedule)
-        self.edge_src = read_only(
-            np.concatenate(all_flat) if all_flat else np.zeros(0, dtype=np.int64)
+        tables = self._scalar_tables
+        if tables is None:
+            tables = self._scalar_tables = _ScalarTables(self)
+        return tables
+
+
+class _ScalarTables:
+    """The timing graph as Python tuples, for the scalar propagation loop.
+
+    ``schedule[p - first]`` is ``(cell, fan-in cells, first in-edge)`` of the
+    cell at topological position ``p >= first`` (``first`` is where level 1
+    starts); ``consumers[c]`` are the sorted positions ``c`` drives.
+    ``views`` are memoryviews of the graph's incidence arrays for the
+    re-pricing of moved cells.
+    """
+
+    __slots__ = ("delays", "first", "schedule", "consumers", "views")
+
+    def __init__(self, graph: TimingGraph) -> None:
+        n = graph.num_cells
+        self.delays = tuple(graph.delays.tolist())
+        self.first = int(graph.level_ptr[1]) if graph.num_levels > 1 else n
+        in_ptr = graph.in_ptr.tolist()
+        src = tuple(graph.edge_src.tolist())
+        self.schedule = tuple(
+            (cell, src[in_ptr[p]:in_ptr[p + 1]], in_ptr[p])
+            for p, cell in enumerate(graph.order.tolist()[self.first:], start=self.first)
         )
-        self.edge_dst = read_only(
-            np.concatenate(all_rep) if all_rep else np.zeros(0, dtype=np.int64)
-        )
-        # Scalar propagation schedule, aligned with the flat edge order: for
-        # the paper-sized circuits a tight Python loop over *pre-vectorised*
-        # edge delays beats per-level NumPy dispatch (tens of levels with a
-        # handful of cells each); big flat circuits flip the other way.
-        self.scalar_schedule = tuple(
-            (int(c), prop_fanin[c])
-            for cells, _flat, _starts, _delays, _sl in schedule
-            for c in cells
-        )
-        self.delays_list = tuple(float(d) for d in self.delays)
-        # crossover measured on the paper circuits: ~2k edges
-        self.use_scalar_propagation = self.edge_src.size < 2048
-        # Endpoint CSR: data arrivals at POs / flip-flop D inputs.  Endpoints
-        # are visited in index order and their fan-in in netlist order —
-        # matching the reference loop so that first-maximum tie-breaking is
-        # identical.
-        end_cells = [c for c in np.flatnonzero(self.is_end) if end_fanin[c]]
-        if end_cells:
-            end_counts = np.array(
-                [len(end_fanin[c]) for c in end_cells], dtype=np.int64
-            )
-            end_flat = np.concatenate(
-                [np.asarray(end_fanin[c], dtype=np.int64) for c in end_cells]
-            )
-        else:
-            end_counts = np.zeros(0, dtype=np.int64)
-            end_flat = np.zeros(0, dtype=np.int64)
-        self.end_flat = read_only(end_flat)
-        self.ends_rep = read_only(
-            np.repeat(np.asarray(end_cells, dtype=np.int64), end_counts)
-        )
+        # edges are in sink-position order, so grouping them stably by
+        # driver lists each driver's consumers in position order
+        driver_ptr, by_driver = _grouped(graph.edge_src, n)
+        ptr = driver_ptr.tolist()
+        driven = graph.rank[graph.edge_dst[by_driver]].tolist()
+        self.consumers = tuple(tuple(driven[ptr[c]:ptr[c + 1]]) for c in range(n))
+        self.views = tuple(memoryview(array) for array in (
+            graph.inc_ptr, graph.inc_edges, graph.edge_src, graph.edge_dst, graph.rank,
+            graph.ent_ptr, graph.ent_ids, graph.end_flat, graph.ends_rep,
+        ))
 
 
 class TimingAnalyzer:
-    """Exact static timing analysis for a fixed netlist.
+    """Exact static timing analysis for a fixed netlist, warm across calls.
 
     The netlist connectivity never changes during placement, so the
     topological order, endpoint set and fan-in structure live in the
-    netlist's shared :class:`TimingGraph`; an analyzer adds only the delay
-    model and private scratch buffers, so concurrent analyzers of one
-    netlist never write to shared memory.
+    netlist's shared :class:`TimingGraph`.  An analyzer adds the delay model
+    and private state: scratch buffers plus the *warm state* of its last
+    call — cell coordinates, edge and endpoint wire delays, arrival times and
+    (scalar regime) each cell's critical predecessor.  Concurrent analyzers
+    of one netlist never write to shared memory, and nothing of the warm
+    state is ever pickled or checkpointed: it is a cache of the last call,
+    rebuilt by the first call of a fresh analyzer.
     """
 
     def __init__(self, netlist: Netlist, model: TimingModel | None = None) -> None:
@@ -234,34 +310,65 @@ class TimingAnalyzer:
         self._model = model or TimingModel()
         self._graph = TimingGraph.of(netlist)
         self._use_scalar_propagation = self._graph.use_scalar_propagation
-        # Reusable scratch buffers for analyze(): allocated once on first
-        # use, so a steady-state STA allocates O(1) fresh memory per call
-        # (only the returned arrival copy) instead of O(cells + edges).
+        # Buffers for analyze(), allocated once on first use, so a
+        # steady-state STA allocates O(moved) fresh memory per call (plus the
+        # returned arrival array) instead of O(cells + edges).
         self._scratch: dict | None = None
+        # Regime (scalar or not) whose warm state the scratch holds; None
+        # until a call completes, and while one is in progress.
+        self._warm: Optional[bool] = None
+        # scalar regime warm state: edge delays, arrivals, predecessors
+        self._edge_delays: List[float] = []
+        self._arrival: List[float] = []
+        self._pred: List[int] = []
 
     def _make_scratch(self) -> dict:
         graph = self._graph
         num_cells = graph.num_cells
         num_edges = graph.edge_src.size
         num_ends = graph.end_flat.size
-        return {
-            "x": np.empty(num_cells, dtype=np.float64),
-            "y": np.empty(num_cells, dtype=np.float64),
+        scratch = {
+            name: np.empty(num_cells, dtype=np.float64)
+            for name in ("x", "y", "spare_x", "spare_y")
+        }
+        scratch.update({
+            "moved_x": np.empty(num_cells, dtype=bool),
+            "moved_y": np.empty(num_cells, dtype=bool),
+            "dirty": bytearray(num_cells),
             "edge_delay": np.empty(num_edges, dtype=np.float64),
             "edge_tmp": np.empty(num_edges, dtype=np.float64),
-            "edge_tmp2": np.empty(num_edges, dtype=np.float64),
-            "arrival": np.empty(num_cells, dtype=np.float64),
-            "levels": tuple(
-                (
-                    np.empty(flat.size, dtype=np.float64),
-                    np.empty(cells.size, dtype=np.float64),
-                )
-                for cells, flat, _starts, _delays, _sl in graph.level_schedule
-            ),
-            "end_a": np.empty(num_ends, dtype=np.float64),
-            "end_b": np.empty(num_ends, dtype=np.float64),
-            "end_c": np.empty(num_ends, dtype=np.float64),
-        }
+            "level_tmp": np.empty(num_edges, dtype=np.float64),
+            "end_wire": np.empty(num_ends, dtype=np.float64),
+            "end_t": np.empty(num_ends, dtype=np.float64),
+            "end_tmp": np.empty(num_ends, dtype=np.float64),
+        })
+        return scratch
+
+    def _add_level_views(self, scratch: dict) -> None:
+        """The vectorised regime's scratch, added on its first use.
+
+        One view pack per level >= 1 (level 0 has no fan-in): the source
+        positions, the level's slices of the gather buffer and of the edge
+        delays, its segment starts, and its cells' slices of the
+        topologically ordered arrival and delay arrays (the graph's
+        ``level_blocks`` hold the shared ones).  Plus memoryviews
+        for the backtrack, which read single elements as Python scalars at
+        list speed without unboxing whole arrays.
+        """
+        graph = self._graph
+        arrival = scratch["arrival"] = np.empty(graph.num_cells, dtype=np.float64)
+        level_tmp = scratch["level_tmp"]
+        edge_delay = scratch["edge_delay"]
+        scratch["levels"] = tuple(
+            (sources, level_tmp[edges], edge_delay[edges], starts, arrival[cells], delays)
+            for edges, cells, sources, starts, delays in graph.level_blocks
+        )
+        scratch["views"] = tuple(
+            memoryview(array) for array in (
+                arrival, scratch["edge_delay"], graph.edge_src,
+                graph.edge_src_rank, graph.in_ptr, graph.rank,
+            )
+        )
 
     @property
     def netlist(self) -> Netlist:
@@ -277,156 +384,265 @@ class TimingAnalyzer:
     def analyze(self, placement: Placement) -> TimingResult:
         """Run an exact STA under ``placement`` and extract the critical path.
 
-        Arrival times are propagated one topological *level* at a time with
-        segmented NumPy reductions (see :class:`TimingGraph`) — numerically
-        identical to a scalar reference STA (the tests' oracle) including
-        first-maximum tie-breaking, but an order of magnitude faster on the
-        paper circuits.  This is the cost that dominates installing a received
-        solution, so the parallel protocol's per-hop overhead rides on it.
-        All intermediate arrays live in per-analyzer scratch buffers, so a
-        steady-state call allocates only the returned arrival copy — at 10k
-        cells that is ~80 KB instead of several MB per STA.
+        The cells that moved since this analyzer's last call are found by
+        comparing cell coordinates, so every way a placement can change
+        (commits, bulk adoption, undo, restores, installs, another
+        :class:`Placement` object) is caught without bookkeeping.  Only the
+        connections of moved cells are re-priced, and arrivals are
+        re-propagated only where they can change:
+
+        * scalar regime (small graphs): a Python loop over the dirty
+          topological positions; a cell marks its consumers dirty only if its
+          arrival changed, and its critical predecessor is cached, so the
+          path backtrack is an O(path) walk;
+        * vectorised regime: one segmented NumPy max per level, starting at
+          the first level with a re-priced in-edge.
+
+        The first call, a switch of regime and a move of more than the
+        regime's ``_FULL_ANALYSIS_MOVED_SHARE`` of the cells analyze from
+        scratch.
+        Every float is computed by the same expression in the same operand
+        order either way, so the result is bitwise equal to a cold analysis
+        (and to the scalar reference STA of the tests, first-maximum
+        tie-breaking included) whatever the call history.  The returned
+        arrival array is fresh: later calls never write to it.
         """
         graph = self._graph
         scratch = self._scratch
         if scratch is None:
             scratch = self._scratch = self._make_scratch()
+        scalar = bool(self._use_scalar_propagation)
+        # the last call's coordinate buffers become this call's spares
+        x, y = scratch["spare_x"], scratch["spare_y"]
+        last_x, last_y = scratch["x"], scratch["y"]
+        scratch["x"], scratch["y"] = x, y
+        scratch["spare_x"], scratch["spare_y"] = last_x, last_y
         cts = placement.cell_to_slot
         layout = placement.layout
-        x = scratch["x"]
-        y = scratch["y"]
-        np.take(layout.slot_x, cts, out=x)
-        np.take(layout.slot_y, cts, out=y)
-        wpu = self._model.wire_delay_per_unit
-        # all propagating edge delays in one vectorised pass
-        edge_delay = scratch["edge_delay"]
-        if graph.edge_src.size:
-            tmp = scratch["edge_tmp"]
-            tmp2 = scratch["edge_tmp2"]
-            np.take(x, graph.edge_src, out=edge_delay)
-            np.take(x, graph.edge_dst, out=tmp)
-            np.subtract(edge_delay, tmp, out=edge_delay)
-            np.abs(edge_delay, out=edge_delay)
-            np.take(y, graph.edge_src, out=tmp)
-            np.take(y, graph.edge_dst, out=tmp2)
-            np.subtract(tmp, tmp2, out=tmp)
-            np.abs(tmp, out=tmp)
-            np.add(edge_delay, tmp, out=edge_delay)
-            np.multiply(edge_delay, wpu, out=edge_delay)
-        # Cells without propagating fan-in arrive at their intrinsic delay;
-        # every later level overwrites its own cells.
-        if self._use_scalar_propagation:
-            delays_list = graph.delays_list
-            arr = list(delays_list)
-            ed = edge_delay.tolist()
-            index = 0
-            for c, fanin in graph.scalar_schedule:
-                best = -np.inf
-                for d in fanin:
-                    t = arr[d] + ed[index]
-                    index += 1
-                    if t > best:
-                        best = t
-                arr[c] = best + delays_list[c]
-            arrival = np.asarray(arr, dtype=np.float64)
+        layout.slot_x.take(cts, None, x)
+        layout.slot_y.take(cts, None, y)
+        moved = None
+        if self._warm is scalar:
+            moved_x, moved_y = scratch["moved_x"], scratch["moved_y"]
+            np.not_equal(x, last_x, moved_x)
+            np.not_equal(y, last_y, moved_y)
+            np.logical_or(moved_x, moved_y, moved_x)
+            moved = np.flatnonzero(moved_x)
+            if moved.size > _FULL_ANALYSIS_MOVED_SHARE[scalar] * graph.num_cells:
+                moved = None
+        self._warm = None  # until this call completes
+        if moved is None:
+            self._price_all(x, y)
+        if scalar:
+            arrival, pred = self._propagate_scalar(x, y, moved)
         else:
-            arrival = scratch["arrival"]
-            arrival[:] = graph.delays
-            for (cells, flat, starts, cell_delays, edge_slice), (t_buf, red_buf) in zip(
-                graph.level_schedule, scratch["levels"]
-            ):
-                np.take(arrival, flat, out=t_buf)
-                np.add(t_buf, edge_delay[edge_slice], out=t_buf)
-                np.maximum.reduceat(t_buf, starts, out=red_buf)
-                np.add(red_buf, cell_delays, out=red_buf)
-                arrival[cells] = red_buf
-            # the scratch buffer is overwritten by the next analyze; callers
-            # (and TimingState snapshots) keep the result, so hand out a copy
-            arrival = arrival.copy()
+            arrival = self._propagate_levels(x, y, moved)
+            pred = None
+        self._warm = scalar
 
         critical_delay = 0.0
         critical_end = -1
         critical_end_pred = -1
         if graph.end_flat.size:
-            ends_rep = graph.ends_rep
-            end_t = scratch["end_a"]
-            end_tmp = scratch["end_b"]
-            end_tmp2 = scratch["end_c"]
-            np.take(x, graph.end_flat, out=end_t)
-            np.take(x, ends_rep, out=end_tmp)
-            np.subtract(end_t, end_tmp, out=end_t)
-            np.abs(end_t, out=end_t)
-            np.take(y, graph.end_flat, out=end_tmp)
-            np.take(y, ends_rep, out=end_tmp2)
-            np.subtract(end_tmp, end_tmp2, out=end_tmp)
-            np.abs(end_tmp, out=end_tmp)
-            np.add(end_t, end_tmp, out=end_t)
-            np.multiply(end_t, wpu, out=end_t)
-            np.take(arrival, graph.end_flat, out=end_tmp)
-            np.add(end_t, end_tmp, out=end_t)
-            imax = int(np.argmax(end_t))
-            if float(end_t[imax]) > 0.0:
-                critical_delay = float(end_t[imax])
-                critical_end = int(ends_rep[imax])
-                critical_end_pred = int(graph.end_flat[imax])
+            end_t = scratch["end_t"]
+            arrival.take(graph.end_flat, None, end_t)
+            np.add(scratch["end_wire"], end_t, end_t)
+            imax = int(end_t.argmax())
+            top = end_t.item(imax)
+            if top > 0.0:
+                critical_delay = top
+                critical_end = graph.ends_rep.item(imax)
+                critical_end_pred = graph.end_flat.item(imax)
 
         # Backtrack the critical path: the predecessor of a path cell is its
         # first fan-in attaining the arrival maximum, exactly the reference
-        # loop's strict-greater scan.  The path is short (one cell per level
-        # at most), so a scalar walk here costs nothing.  Small circuits
-        # unbox the arrays once (fastest for their dense walks); large ones
-        # index the arrays directly to stay O(path) instead of O(cells).
+        # loop's strict-greater scan.  The scalar regime cached it while
+        # propagating; the vectorised one re-scans the path cells' in-edges
+        # (one cell per level at most).
         path: List[int] = []
-        if critical_end >= 0 and not self._use_scalar_propagation:
+        if critical_end >= 0:
             path.append(critical_end)
             cursor = critical_end_pred
-            while cursor >= 0:
-                path.append(cursor)
-                fanin = graph.prop_fanin[cursor]
-                if not fanin:
-                    break
-                xc = float(x[cursor])
-                yc = float(y[cursor])
-                best = -np.inf
-                pred = -1
-                for d in fanin:
-                    t_d = float(arrival[d]) + wpu * (
-                        abs(float(x[d]) - xc) + abs(float(y[d]) - yc)
-                    )
-                    if t_d > best:
-                        best = t_d
-                        pred = d
-                cursor = pred
-            path.reverse()
-        elif critical_end >= 0:
-            arrival_list = arrival.tolist()
-            x_list = x.tolist()
-            y_list = y.tolist()
-            path.append(critical_end)
-            cursor = critical_end_pred
-            while cursor >= 0:
-                path.append(cursor)
-                fanin = graph.prop_fanin[cursor]
-                if not fanin:
-                    break
-                xc = x_list[cursor]
-                yc = y_list[cursor]
-                best = -np.inf
-                pred = -1
-                for d in fanin:
-                    t_d = arrival_list[d] + wpu * (
-                        abs(x_list[d] - xc) + abs(y_list[d] - yc)
-                    )
-                    if t_d > best:
-                        best = t_d
-                        pred = d
-                cursor = pred
+            if pred is not None:
+                while cursor >= 0:
+                    path.append(cursor)
+                    cursor = pred[cursor]
+            else:
+                arrival_at, edge_delay, src, src_rank, in_ptr, rank = scratch["views"]
+                while cursor >= 0:
+                    path.append(cursor)
+                    position = rank[cursor]
+                    best = -np.inf
+                    best_edge = -1
+                    for edge in range(in_ptr[position], in_ptr[position + 1]):
+                        t_d = arrival_at[src_rank[edge]] + edge_delay[edge]
+                        if t_d > best:
+                            best = t_d
+                            best_edge = edge
+                    cursor = src[best_edge] if best_edge >= 0 else -1
             path.reverse()
         return TimingResult(
             critical_delay=float(critical_delay),
             arrival=arrival,
             critical_path=tuple(path),
         )
+
+    def _price_all(self, x: np.ndarray, y: np.ndarray) -> None:
+        """Price every edge and endpoint entry (a cold analysis)."""
+        graph = self._graph
+        scratch = self._scratch
+        wpu = self._model.wire_delay_per_unit
+        for src, dst, out, tmp, tmp2 in (
+            (graph.edge_src, graph.edge_dst, scratch["edge_delay"],
+             scratch["edge_tmp"], scratch["level_tmp"]),
+            (graph.end_flat, graph.ends_rep, scratch["end_wire"],
+             scratch["end_t"], scratch["end_tmp"]),
+        ):
+            if not src.size:
+                continue
+            x.take(src, None, out)
+            x.take(dst, None, tmp)
+            np.subtract(out, tmp, out)
+            np.abs(out, out)
+            y.take(src, None, tmp)
+            y.take(dst, None, tmp2)
+            np.subtract(tmp, tmp2, tmp)
+            np.abs(tmp, tmp)
+            np.add(out, tmp, out)
+            np.multiply(out, wpu, out)
+
+    def _reprice(self, x, y, src, dst, ids: np.ndarray, out: np.ndarray) -> None:
+        """``out[ids]``: the wire delays of connections ``ids`` (same floats as above)."""
+        a = src[ids]
+        b = dst[ids]
+        wire = np.abs(x[a] - x[b])
+        wire += np.abs(y[a] - y[b])
+        wire *= self._model.wire_delay_per_unit
+        out[ids] = wire
+
+    def _propagate_levels(self, x: np.ndarray, y: np.ndarray, moved) -> np.ndarray:
+        """Vectorised regime: re-price what ``moved`` touches, re-propagate.
+
+        ``moved`` is None after a full pricing.  Arrivals live in
+        topological order, so a level's cells are one contiguous slice that
+        its segmented max writes in place; propagation starts at the first
+        level with a re-priced in-edge.  Returns the arrivals in cell order
+        (a fresh array).
+        """
+        graph = self._graph
+        scratch = self._scratch
+        if "levels" not in scratch:
+            self._add_level_views(scratch)
+        arrival = scratch["arrival"]
+        if moved is None:
+            np.copyto(arrival, graph.delays_topo)
+            first_level = 1
+        else:
+            first_level = graph.num_levels
+            edges, _counts = csr_rows(graph.inc_edges, graph.inc_ptr, moved)
+            if edges.size:
+                self._reprice(x, y, graph.edge_src, graph.edge_dst, edges, scratch["edge_delay"])
+                # edges are sorted by their sink's level
+                first_level = graph.level.item(graph.edge_dst.item(int(edges.min())))
+            entries, _counts = csr_rows(graph.ent_ids, graph.ent_ptr, moved)
+            if entries.size:
+                self._reprice(x, y, graph.end_flat, graph.ends_rep, entries, scratch["end_wire"])
+        take = arrival.take
+        add = np.add
+        reduceat = np.maximum.reduceat
+        levels = scratch["levels"]
+        for index in range(first_level - 1, len(levels)):
+            sources, t_buf, edge_delay, starts, cell_arrival, cell_delays = levels[index]
+            take(sources, None, t_buf)
+            add(t_buf, edge_delay, t_buf)
+            reduceat(t_buf, starts, 0, None, cell_arrival)
+            add(cell_arrival, cell_delays, cell_arrival)
+        return take(graph.rank)
+
+    def _propagate_scalar(self, x: np.ndarray, y: np.ndarray, moved):
+        """Scalar regime: Python loops over the dirty topological positions.
+
+        ``moved`` is None after a full pricing; otherwise the connections of
+        the moved cells are re-priced here, reading the shared CSR arrays
+        through memoryviews (Python scalars at list speed, no per-cell
+        tuples).  Returns the arrivals in cell order (a fresh array) and the
+        cached critical predecessor of every cell (-1: no fan-in).
+        """
+        graph = self._graph
+        tables = graph.scalar_tables()
+        delays = tables.delays
+        if moved is None:
+            self._scratch["dirty"] = bytearray(graph.num_cells)
+            ed = self._edge_delays = self._scratch["edge_delay"].tolist()
+            arr = self._arrival = list(delays)
+            pred = self._pred = [-1] * graph.num_cells
+            for c, fanin, edge in tables.schedule:
+                best = -np.inf
+                for d in fanin:
+                    t = arr[d] + ed[edge]
+                    edge += 1
+                    if t > best:
+                        best = t
+                        p = d
+                arr[c] = best + delays[c]
+                pred[c] = p
+            return np.array(arr, dtype=np.float64), pred
+
+        ed = self._edge_delays
+        arr = self._arrival
+        pred = self._pred
+        wpu = self._model.wire_delay_per_unit
+        x_at = memoryview(x)
+        y_at = memoryview(y)
+        dirty = self._scratch["dirty"]
+        end_wire = self._scratch["end_wire"]
+        inc_ptr, inc_edges, src, dst, rank, ent_ptr, ent_ids, end_src, end_dst = tables.views
+        low = graph.num_cells
+        high = -1
+        for cell in moved.tolist():
+            for k in range(inc_ptr[cell], inc_ptr[cell + 1]):
+                edge = inc_edges[k]
+                a = src[edge]
+                b = dst[edge]
+                ed[edge] = (abs(x_at[a] - x_at[b]) + abs(y_at[a] - y_at[b])) * wpu
+                position = rank[b]
+                dirty[position] = 1
+                if position < low:
+                    low = position
+                if position > high:
+                    high = position
+            for k in range(ent_ptr[cell], ent_ptr[cell + 1]):
+                entry = ent_ids[k]
+                a = end_src[entry]
+                b = end_dst[entry]
+                end_wire[entry] = (abs(x_at[a] - x_at[b]) + abs(y_at[a] - y_at[b])) * wpu
+        schedule = tables.schedule
+        consumers = tables.consumers
+        first = tables.first
+        position = low
+        while position <= high:
+            if dirty[position]:
+                dirty[position] = 0
+                c, fanin, edge = schedule[position - first]
+                best = -np.inf
+                for d in fanin:
+                    t = arr[d] + ed[edge]
+                    edge += 1
+                    if t > best:
+                        best = t
+                        p = d
+                pred[c] = p
+                t = best + delays[c]
+                if t != arr[c]:
+                    arr[c] = t
+                    driven = consumers[c]
+                    if driven:
+                        for consumer in driven:
+                            dirty[consumer] = 1
+                        if driven[-1] > high:
+                            high = driven[-1]
+            position += 1
+        return np.array(arr, dtype=np.float64), pred
 
     def path_delay(
         self,
@@ -465,15 +681,15 @@ class TimingAnalyzer:
         if len(path) < 2:
             return 0.0
         graph = self._graph
-        delays = graph.delays_list
+        cells = list(path)
+        last = cells[-1]
+        if graph.is_end[last] and not graph.is_start[last]:
+            cells.pop()  # PO endpoint: no intrinsic delay after arrival
+        elif graph.is_seq[last]:
+            cells.pop()  # flip-flop D input endpoint
         total = 0.0
-        for idx, cell in enumerate(path):
-            is_last = idx == len(path) - 1
-            if is_last and graph.is_end[cell] and not graph.is_start[cell]:
-                continue  # PO endpoint: no intrinsic delay after arrival
-            if is_last and graph.is_seq[cell]:
-                continue  # flip-flop D input endpoint
-            total += delays[cell]
+        for delay in graph.delays[cells].tolist():
+            total += delay
         return total
 
 
@@ -534,7 +750,12 @@ class TimingState:
         return self._result
 
     def exact_delay(self) -> float:
-        """Exact critical-path delay (runs a full STA, does not disturb caches)."""
+        """Exact critical-path delay (runs an exact STA, does not disturb caches).
+
+        The STA is incremental against the analyzer's last call, so right
+        after a refresh of an unchanged placement it only compares
+        coordinates and re-reads the endpoints.
+        """
         return self._analyzer.analyze(self._placement).critical_delay
 
     # ------------------------------------------------------------------ #

@@ -98,6 +98,36 @@ class TestSharing:
         second.exact_cost()
         assert first._timing.analyzer._scratch is not second._timing.analyzer._scratch
 
+    @pytest.mark.parametrize("scalar", [True, False], ids=["scalar", "vectorised"])
+    def test_warm_state_is_private_and_graph_arrays_shared(self, scalar):
+        problem = _fresh_problem()
+        first, second = _evaluator_pair(problem)
+        analyzers = [ev._timing.analyzer for ev in (first, second)]
+        for analyzer, evaluator in zip(analyzers, (first, second)):
+            analyzer._use_scalar_propagation = scalar
+            evaluator.exact_cost()
+            evaluator.commit_swap(5, 60)
+            evaluator.exact_cost()  # an incremental analysis
+        mine, theirs = analyzers
+        assert mine._graph is theirs._graph
+        for name in ("x", "y", "edge_delay", "end_wire", "dirty"):
+            assert mine._scratch[name] is not theirs._scratch[name]
+        if scalar:
+            for name in ("_arrival", "_pred", "_edge_delays"):
+                assert getattr(mine, name) is not getattr(theirs, name)
+            return
+        assert mine._scratch["arrival"] is not theirs._scratch["arrival"]
+        # every per-level view of shared structure is a view of the one
+        # graph array; every view of warm state is the analyzer's own
+        for analyzer in analyzers:
+            graph = analyzer._graph
+            for sources, _t, delays, starts, arrival, cell_delays in analyzer._scratch["levels"]:
+                assert sources.base is graph.edge_src_rank
+                assert starts.base is graph.seg_start
+                assert cell_delays.base is graph.delays_topo
+                assert delays.base is analyzer._scratch["edge_delay"]
+                assert arrival.base is analyzer._scratch["arrival"]
+
     def test_restored_problem_builds_its_own_exactly_once(self, monkeypatch):
         problem = _fresh_problem()
         original = _static_parts(problem.make_evaluator(problem.random_solution(1)))
@@ -116,21 +146,45 @@ class TestSharing:
         _evaluator_pair(problem)
         assert pickle.dumps(problem, protocol=4) == before
 
+    def test_warm_timing_state_is_never_pickled(self):
+        """A warm evaluator's timing snapshot pickles like a cold one's."""
+        problem = _fresh_problem()
+        warm, _ = _evaluator_pair(problem)
+        for cell_a, cell_b in ((1, 2), (7, 90), (11, 3), (40, 41)):
+            warm.commit_swap(cell_a, cell_b)
+            warm.exact_cost()
+        cold = problem.make_evaluator(warm.snapshot())
+        cold.exact_cost()
+        assert pickle.dumps(warm._timing.save_state(), protocol=4) == pickle.dumps(
+            cold._timing.save_state(), protocol=4
+        )
+        blob = pickle.dumps(warm.save_state(), protocol=4)
+        assert b"TimingAnalyzer" not in blob and b"TimingGraph" not in blob
+
 
 class TestConcurrentEvaluators:
     def test_threads_build_once_and_analyze_race_free(self, monkeypatch):
         problem = _restored(_fresh_problem())
         solutions = [problem.random_solution(seed) for seed in range(6)]
+        swaps = [((i * 7 + 3) % 120, (i * 13 + 50) % 120) for i in range(20)]
+
+        def costs_of(evaluator):
+            # one commit between exact refreshes: the warm, incremental STA
+            costs = []
+            for cell_a, cell_b in swaps:
+                evaluator.commit_swap(cell_a, cell_b)
+                costs.append(evaluator.exact_cost())
+            return costs
+
         # serial ground truth on a separate copy of the problem
         serial_problem = _restored(problem)
-        expected = [serial_problem.make_evaluator(s).exact_cost() for s in solutions]
+        expected = [costs_of(serial_problem.make_evaluator(s)) for s in solutions]
         counter = _BuildCounter(monkeypatch)
         results: dict = {}
 
         def worker(index: int) -> None:
             evaluator = problem.make_evaluator(solutions[index])
-            costs = [evaluator.exact_cost() for _ in range(20)]
-            results[index] = (evaluator, costs)
+            results[index] = (evaluator, costs_of(evaluator))
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
         interval = sys.getswitchinterval()
@@ -148,7 +202,16 @@ class TestConcurrentEvaluators:
         graphs = {id(_static_parts(ev)[0]) for ev, _costs in results.values()}
         assert len(graphs) == 1
         for index, (_evaluator, costs) in results.items():
-            assert costs == [expected[index]] * len(costs)
+            assert costs == expected[index]
+        # every analyzer kept its own warm state, and it describes its own
+        # placement (no analyzer wrote into another's buffers)
+        analyzers = [ev._timing.analyzer for ev, _costs in results.values()]
+        for name in ("_scratch", "_arrival", "_pred", "_edge_delays"):
+            assert len({id(getattr(analyzer, name)) for analyzer in analyzers}) == 6
+        for evaluator, _costs in results.values():
+            scratch = evaluator._timing.analyzer._scratch
+            assert np.array_equal(scratch["x"], evaluator.placement.cell_x())
+            assert np.array_equal(scratch["y"], evaluator.placement.cell_y())
 
 
 class TestLifetime:
@@ -184,12 +247,19 @@ class TestImmutability:
         problem = _fresh_problem()
         evaluator, _ = _evaluator_pair(problem)
         graph, incidence, commit_lists = _static_parts(evaluator)
-        arrays = [
-            incidence, graph.is_start, graph.is_end, graph.is_seq, graph.delays,
-            graph.edge_src, graph.edge_dst, graph.end_flat, graph.ends_rep,
+        arrays = [incidence] + [
+            getattr(graph, name) for name in (
+                "is_start", "is_end", "is_seq", "delays", "level", "order", "rank",
+                "delays_topo", "level_ptr", "edge_src", "edge_dst", "edge_src_rank",
+                "in_ptr", "seg_start", "inc_ptr", "inc_edges", "end_flat", "ends_rep",
+                "ent_ptr", "ent_ids",
+            )
         ]
-        for cells, flat, starts, delays, _slice in graph.level_schedule:
-            arrays += [cells, flat, starts, delays]
+        analyzer = evaluator._timing.analyzer
+        analyzer._use_scalar_propagation = False
+        analyzer.analyze(evaluator.placement)  # builds the per-level views
+        for sources, _t, _delays, starts, _arrival, cell_delays in analyzer._scratch["levels"]:
+            arrays += [sources, starts, cell_delays]
         for array in arrays:
             assert isinstance(array, np.ndarray)
             assert array.flags.writeable is False
@@ -197,8 +267,11 @@ class TestImmutability:
             graph.edge_src[0] = 1
         # the Python-level structure is built from immutable tuples
         assert all(isinstance(part, tuple) for part in commit_lists)
-        assert isinstance(graph.prop_fanin, tuple)
-        assert isinstance(graph.delays_list, tuple)
+        tables = graph.scalar_tables()
+        assert tables is graph.scalar_tables()
+        for name in ("delays", "schedule", "consumers"):
+            assert isinstance(getattr(tables, name), tuple)
+        assert all(view.readonly for view in tables.views)
 
     def test_csr_keys_are_shared_and_read_only(self):
         problem = _fresh_problem()

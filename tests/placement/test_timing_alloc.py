@@ -52,6 +52,20 @@ class TestSteadyStateAllocations:
         tracemalloc.stop()
         assert peak < STEADY_STATE_BUDGET_BYTES, f"analyze() allocated {peak} bytes"
 
+    @pytest.mark.parametrize("circuit_fixture", ["big2k_placement", "big10k_placement"])
+    def test_one_swap_then_analyze_stays_in_budget(self, circuit_fixture, request):
+        placement = request.getfixturevalue(circuit_fixture).copy()
+        analyzer = TimingAnalyzer(placement.netlist)
+        analyzer.analyze(placement)
+        placement.swap_cells(10, 20)
+        analyzer.analyze(placement)  # first incremental call
+        placement.swap_cells(30, 40)
+        tracemalloc.start()
+        analyzer.analyze(placement)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < STEADY_STATE_BUDGET_BYTES, f"analyze() allocated {peak} bytes"
+
     def test_returned_arrival_survives_next_analyze(self, big2k_placement):
         analyzer = TimingAnalyzer(big2k_placement.netlist)
         first = analyzer.analyze(big2k_placement)
